@@ -9,9 +9,9 @@ its core contract on the spot:
 2. inject one transient storage-cell upset the naive way (from reset) and
    through **fork-from-checkpoint**, and verify the two runs are identical
    on every observable,
-3. run a small SEU campaign (`repro.faultinjection.run_transient_campaign`)
-   with the **early-convergence exit** on, on both the RTL and the ISS
-   backend, and compare their failure pictures — the paper's ISS-vs-RTL
+3. run a small SEU campaign (`CampaignEngine` with `transient_windows`),
+   forking every upset with the **early-convergence exit**, on both the RTL
+   and the ISS backend, and compare their failure pictures — the paper's ISS-vs-RTL
    argument, extended to transients,
 4. show the same campaign as a durable store entry (resume/cache-hit
    machinery works for transient campaigns too).
@@ -23,14 +23,33 @@ import os
 import tempfile
 import time
 
-from repro.engine import Leon3RtlBackend, watchdog_budget
+from repro.engine import (
+    CampaignConfig,
+    CampaignEngine,
+    IssBackend,
+    Leon3RtlBackend,
+    watchdog_budget,
+)
 from repro.engine.checkpoint import assert_run_results_identical
-from repro.faultinjection import run_transient_campaign
-from repro.rtl.faults import TransientFault
+from repro.rtl.faults import FaultModel, TransientFault
 from repro.store import CampaignStore
 from repro.workloads import build_program
 
 WORKLOAD = "rspeed"
+
+#: Backend factory and storage-cell scope of each SEU campaign.
+BACKENDS = {"rtl": (Leon3RtlBackend, "iu"), "iss": (IssBackend, "arch.regfile")}
+
+
+def seu_campaign(program, kind="rtl", duration=1, store_path=None):
+    """30 storage sites x 3 start times on *kind*; the TRANSIENT result."""
+    factory, scope = BACKENDS[kind]
+    config = CampaignConfig(
+        unit_scope=scope, sample_size=30, seed=2015, transient_windows=3,
+        transient_duration=duration, store_path=store_path,
+    )
+    results = CampaignEngine(program, config, backend_factory=factory).run()
+    return results[FaultModel.TRANSIENT]
 
 
 def main() -> None:
@@ -68,11 +87,8 @@ def main() -> None:
     # --- 3. A small SEU campaign on both backends --------------------------
     print("\nSEU campaign: 30 storage sites x 3 start times (8-cycle windows), "
           "both backends")
-    for kind in ("rtl", "iss"):
-        result = run_transient_campaign(
-            program, sample_size=30, windows=3, duration=8, seed=2015,
-            backend=kind,
-        )
+    for kind in BACKENDS:
+        result = seu_campaign(program, kind, duration=8)
         histogram = {
             failure_class.value: count
             for failure_class, count in result.classification_histogram().items()
@@ -85,12 +101,8 @@ def main() -> None:
     # --- 4. The campaign as a durable store entry --------------------------
     with tempfile.TemporaryDirectory() as tmp:
         store_path = os.path.join(tmp, "campaigns.sqlite")
-        run_transient_campaign(
-            program, sample_size=30, windows=3, seed=2015, store_path=store_path
-        )
-        repeat = run_transient_campaign(
-            program, sample_size=30, windows=3, seed=2015, store_path=store_path
-        )
+        seu_campaign(program, store_path=store_path)
+        repeat = seu_campaign(program, store_path=store_path)
         with CampaignStore(store_path) as store:
             counters = store.counters()
         assert counters["campaign_hits"] == 1, counters

@@ -17,8 +17,8 @@ The package provides:
   :class:`ExecutionBackend` API over both simulators, picklable injection
   jobs, and pluggable serial/multiprocessing schedulers with per-worker
   golden-run caching.
-* :mod:`repro.faultinjection` — permanent-fault (stuck-at-0/1, open-line)
-  injection campaigns with off-core-boundary failure detection.
+* :mod:`repro.faultinjection` — off-core-boundary failure classification
+  and the per-fault-model campaign results (``Pf`` and its breakdown).
 * :mod:`repro.workloads` — EEMBC-AutoBench-like automotive kernels and
   synthetic benchmarks written in SPARC assembly.
 * :mod:`repro.core` — the paper's contribution: the instruction-diversity

@@ -24,9 +24,6 @@ class CorrelationPoint:
     failure_probability: float
     injections: int = 0
 
-    def as_tuple(self):
-        return (self.diversity, self.failure_probability)
-
 
 @dataclass(frozen=True)
 class CorrelationResult:

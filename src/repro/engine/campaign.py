@@ -28,7 +28,6 @@ resumed campaign aggregates in exactly the same order as an uninterrupted one
 
 from __future__ import annotations
 
-import functools
 import os
 import platform
 from dataclasses import dataclass, field
@@ -50,12 +49,7 @@ from repro.leon3.units import IU_SCOPE
 from repro.rtl.faults import ALL_FAULT_MODELS, FaultModel
 from repro.rtl.sites import FaultSite
 
-from repro.engine.backend import (
-    ExecutionBackend,
-    IssBackend,
-    Leon3RtlBackend,
-    RunResult,
-)
+from repro.engine.backend import ExecutionBackend, Leon3RtlBackend, RunResult
 from repro.engine.checkpoint import make_checkpoint_runner
 from repro.engine.jobs import (
     CampaignJob,
@@ -117,25 +111,6 @@ class CampaignConfig:
     #: interrupted campaigns, serve complete ones as pure cache hits).
     #: ``False`` forces re-execution, overwriting any stored outcomes.
     resume: bool = True
-    #: Interpreter choice for campaigns on the ISS backend: the fast-path
-    #: interpreter (decode cache + table dispatch, bit-identical to the
-    #: reference — enforced by ``tests/test_fastpath.py``), or with ``False``
-    #: the reference interpreter, kept reachable for A/B debugging.  Honoured
-    #: when ``backend_factory`` is the :class:`IssBackend` class or a
-    #: ``functools.partial`` of it that does not itself bind ``fast``; an
-    #: opaque factory (e.g. a lambda) must pass ``fast=`` directly.  Ignored
-    #: by non-ISS backends.  Result-transparent, so deliberately not part of
-    #: the campaign store key.
-    iss_fast: bool = True
-    #: Cycle-engine choice for campaigns on the RTL backend, mirroring
-    #: ``iss_fast``: the fast :class:`~repro.leon3.fastcore.Leon3FastCore`
-    #: (bit-identical to the reference structural model — enforced by
-    #: ``tests/test_fastcore.py``) or with ``False`` the reference
-    #: :class:`~repro.leon3.core.Leon3Core`.  Honoured for the bare
-    #: :class:`Leon3RtlBackend` class and ``functools.partial`` wrappers of it
-    #: that do not bind ``fast`` themselves.  Ignored by non-RTL backends.
-    #: Result-transparent, so deliberately not part of the campaign store key.
-    rtl_fast: bool = True
     #: Transient (SEU-style) campaign mode: number of start times sampled per
     #: site from the golden run's length.  ``None`` (the default) plans the
     #: paper's permanent-fault campaign; an integer switches the campaign to
@@ -152,10 +127,6 @@ class CampaignConfig:
     #: run).  Result-transparent — forks are bit-identical to from-reset
     #: execution — so deliberately not part of the campaign store key.
     checkpoint_interval: Optional[int] = None
-    #: Early-convergence exit: splice the golden tail once a fork's
-    #: post-window state digest matches the golden ladder.  Result-
-    #: transparent, so deliberately not part of the campaign store key.
-    early_exit: bool = True
     #: Campaign telemetry: collect structured metrics (counters, histograms,
     #: span timings — see :mod:`repro.obs`) for this run and, on the durable
     #: path, persist them as the campaign's run manifest.  Result-transparent
@@ -189,17 +160,6 @@ class CampaignConfig:
     #: Which shard of ``shards`` this run executes (0-based).  Result-
     #: transparent, like ``shards``.
     shard_index: int = 0
-    #: Golden-artifact cache (durable campaigns only): serve the golden run
-    #: — the plain reference result, or the full checkpoint ladder plus
-    #: lockstep touch timeline of a transient campaign — from the store's
-    #: ``artifacts`` table instead of re-executing it in the planner and in
-    #: every pool worker and shard, publishing the recording on first use.
-    #: Result-transparent — a cached recording is loaded only after
-    #: state-digest verification against the live engine and campaigns are
-    #: bit-identical either way (enforced by ``tests/test_artifacts.py``) —
-    #: so deliberately not part of the campaign store key.  ``False``
-    #: forces fresh golden executions and never touches the cache.
-    artifact_cache: bool = True
 
     def __post_init__(self) -> None:
         # Fail at configuration time with a clear message, not deep inside a
@@ -275,7 +235,14 @@ class CampaignConfig:
 
 
 class CampaignEngine:
-    """Plans and executes fault-injection campaigns on any backend."""
+    """Plans and executes fault-injection campaigns on any backend.
+
+    *backend_factory* picks the simulator and its engine: the bare
+    :class:`Leon3RtlBackend` / :class:`IssBackend` classes run the fast
+    cycle engine / interpreter, and ``functools.partial(..., fast=False)``
+    pins the reference one.  The two are bit-identical, so both share one
+    store identity (see :func:`repro.store.keys.backend_identity`).
+    """
 
     def __init__(
         self,
@@ -285,9 +252,7 @@ class CampaignEngine:
     ):
         self.program = program
         self.config = config if config is not None else CampaignConfig()
-        self.backend_factory = self._bind_interpreter_flags(
-            backend_factory, self.config.iss_fast, self.config.rtl_fast
-        )
+        self.backend_factory = backend_factory
         self._backend: Optional[ExecutionBackend] = None
         self._golden: Optional[RunResult] = None
         #: Planner-local checkpoint runner of a transient campaign (its
@@ -295,50 +260,10 @@ class CampaignEngine:
         #: reuses it through the plan, workers build their own).
         self._runner = None
         #: Golden-artifact cache coordinates, armed by :meth:`run` when a
-        #: file-backed store is in play and ``config.artifact_cache`` is on;
-        #: ``None`` otherwise (the cache-less fast path).
+        #: file-backed store is in play; ``None`` otherwise (the cache-less
+        #: path).
         self._artifact_store_path: Optional[str] = None
         self._artifact_key: Optional[str] = None
-
-    @staticmethod
-    def _bind_interpreter_flags(
-        backend_factory: Callable[[], ExecutionBackend],
-        iss_fast: bool,
-        rtl_fast: bool,
-    ) -> Callable[[], ExecutionBackend]:
-        """Honour ``config.iss_fast`` / ``config.rtl_fast`` on factories.
-
-        Applies to the bare :class:`IssBackend` / :class:`Leon3RtlBackend`
-        classes (the CLI and the figure drivers pass them) and to
-        ``functools.partial`` wrappers of them that do not already bind
-        ``fast`` (an explicit binding wins; for :class:`Leon3RtlBackend` the
-        flag is keyword-only, for :class:`IssBackend` two positionals bind
-        it).  The result is a ``functools.partial`` — picklable for the
-        worker pool, and the store collapses it back to the bare class's
-        identity (the flags are result-transparent).  Opaque factories
-        (lambdas, closures) cannot be introspected and must pass ``fast=``
-        themselves.
-        """
-        if backend_factory is IssBackend:
-            return functools.partial(IssBackend, fast=iss_fast)
-        if backend_factory is Leon3RtlBackend:
-            return functools.partial(Leon3RtlBackend, fast=rtl_fast)
-        if isinstance(backend_factory, functools.partial):
-            func = backend_factory.func
-            args = backend_factory.args
-            keywords = backend_factory.keywords or {}
-            if (
-                func is IssBackend
-                # IssBackend(detailed_trace, fast): two positionals bind fast.
-                and len(args) < 2
-                and "fast" not in keywords
-            ):
-                return functools.partial(IssBackend, *args, fast=iss_fast, **keywords)
-            if func is Leon3RtlBackend and "fast" not in keywords:
-                return functools.partial(
-                    Leon3RtlBackend, *args, fast=rtl_fast, **keywords
-                )
-        return backend_factory
 
     # -- planner-local backend ---------------------------------------------------------
 
@@ -357,10 +282,10 @@ class CampaignEngine:
         run *is* the ladder recording (bit-identical to a plain run — the
         checkpoint contract), so the campaign pays for one golden execution,
         not two.  With the golden-artifact cache armed (:meth:`run` on a
-        file-backed store, ``config.artifact_cache``), even that execution
-        is served from the store when an earlier campaign already published
-        the recording — after state-digest verification, so a served golden
-        is bit-identical to a fresh one.
+        file-backed store), even that execution is served from the store
+        when an earlier campaign already published the recording — after
+        state-digest verification, so a served golden is bit-identical to a
+        fresh one.
         """
         if self._golden is None:
             config = self.config
@@ -495,7 +420,6 @@ class CampaignEngine:
             backend=self.backend,
             golden=golden,
             checkpoint_interval=self.config.checkpoint_interval,
-            early_exit=self.config.early_exit,
             runner=self._runner,
             lockstep_width=self.config.lockstep_width,
             artifact_store_path=self._artifact_store_path,
@@ -588,7 +512,22 @@ class CampaignEngine:
         at entry, so after the call the registry holds exactly this run's
         metrics — and the durable path persists them as the campaign's run
         manifest.
+
+        A sharded run (``config.shards > 1``) needs a store: its slice is
+        committed there and merged back by ``repro store merge``, and
+        without one the slice would be returned as if it were the whole
+        campaign.
         """
+        if (
+            self.config.shards > 1
+            and store is None
+            and self.config.store_path is None
+        ):
+            raise ValueError(
+                f"a sharded campaign (shards={self.config.shards}) needs a "
+                f"store to commit its slice to; pass store= or set "
+                f"config.store_path"
+            )
         self._setup_telemetry()
         owns_store = False
         if store is None and self.config.store_path is not None:
@@ -616,14 +555,12 @@ class CampaignEngine:
 
         Armed only for file-backed stores — pool workers open their own
         connection by path, and a ``:memory:`` store is private to the
-        connection that created it — and only with ``config.artifact_cache``
-        on; otherwise golden acquisition takes the cache-less path untouched.
+        connection that created it; otherwise golden acquisition takes the
+        cache-less path untouched.
         """
         self._artifact_store_path = None
         self._artifact_key = None
-        if store is None or not self.config.artifact_cache:
-            return
-        if store.path == ":memory:":
+        if store is None or store.path == ":memory:":
             return
         self._artifact_store_path = store.path
         self._artifact_key = self.artifact_address()
@@ -652,14 +589,9 @@ class CampaignEngine:
         progress: Optional[ProgressCallback],
         span: Span,
     ) -> Dict[FaultModel, CampaignResult]:
-        """The store-less path: plan, schedule, aggregate in stream order."""
+        """The store-less (and therefore unsharded) path: plan, schedule,
+        aggregate in stream order."""
         plan = self.plan(fault_models=fault_models, sites=sites)
-        # Sharding is a pure slice of the canonical plan (shards=1, the
-        # default, selects the whole plan), applied after planning so every
-        # shard derives its slice from the identical full job list.
-        plan.jobs = select_shard(
-            plan.jobs, self.config.shards, self.config.shard_index
-        )
         TELEMETRY.inc("campaign.jobs_planned", plan.total_jobs)
         TELEMETRY.inc("campaign.jobs_executed", plan.total_jobs)
         golden = plan.golden
@@ -846,7 +778,6 @@ class CampaignEngine:
                     backend=self.backend,
                     golden=self.golden_run(),
                     checkpoint_interval=config.checkpoint_interval,
-                    early_exit=config.early_exit,
                     runner=self._runner,
                     lockstep_width=config.lockstep_width,
                     artifact_store_path=self._artifact_store_path,
@@ -899,11 +830,9 @@ class CampaignEngine:
                 "chunk_size": config.chunk_size,
                 "lockstep_width": config.lockstep_width,
                 "checkpoint_interval": config.checkpoint_interval,
-                "early_exit": config.early_exit,
                 "transient_windows": config.transient_windows,
                 "shards": config.shards,
                 "shard_index": config.shard_index,
-                "artifact_cache": config.artifact_cache,
             },
             "metrics": TELEMETRY.snapshot(),
         }

@@ -309,17 +309,15 @@ class _CheckpointRunnerBase:
         """Restore every rung into the live engine and check its digest."""
         raise NotImplementedError
 
-    def run_transient(
-        self, fault: TransientFault, budget: int, early_exit: bool = True
-    ) -> RunResult:
+    def run_transient(self, fault: TransientFault, budget: int) -> RunResult:
         """Execute one transient injection, bit-identical to
         ``backend.run(max_instructions=budget, faults=[fault])``.
 
         Forks from the latest ladder rung at or before the fault's start
         time; falls back to the plain from-reset run for sites the fast
-        engine cannot fork (RTL net sites).  With *early_exit* the fork stops
-        at the first post-window state-digest match against the golden ladder
-        and splices the golden tail.
+        engine cannot fork (RTL net sites).  The fork stops at the first
+        post-window state-digest match against the golden ladder and splices
+        the golden tail (the early-convergence exit).
         """
         if not self.supports(fault):
             self.from_reset_runs += 1
@@ -330,7 +328,7 @@ class _CheckpointRunnerBase:
         self.forks += 1
         registry = TELEMETRY
         if not registry.enabled:
-            return self._fork(ladder, rung, fault, budget, early_exit)
+            return self._fork(ladder, rung, fault, budget)
         # Per-fork cost is one span plus a few dict updates — negligible next
         # to the simulated fork, and skipped entirely above when disabled.
         registry.counter("checkpoint.forks").inc()
@@ -339,7 +337,7 @@ class _CheckpointRunnerBase:
         )
         early_exits_before = self.early_exits
         with registry.span("checkpoint.fork"):
-            result = self._fork(ladder, rung, fault, budget, early_exit)
+            result = self._fork(ladder, rung, fault, budget)
         if self.early_exits > early_exits_before:
             registry.counter("checkpoint.early_exits").inc()
             events = registry.events
@@ -383,7 +381,6 @@ class _CheckpointRunnerBase:
         rung: Checkpoint,
         fault: TransientFault,
         budget: int,
-        early_exit: bool,
     ) -> RunResult:
         raise NotImplementedError
 
@@ -490,7 +487,6 @@ class IssCheckpointRunner(_CheckpointRunnerBase):
         rung: Checkpoint,
         fault: TransientFault,
         budget: int,
-        early_exit: bool,
     ) -> RunResult:
         emulator = self._emulator
         assert emulator is not None  # _record_ladder ran before any fork
@@ -512,7 +508,7 @@ class IssCheckpointRunner(_CheckpointRunnerBase):
                 counts[mnemonic] = counts.get(mnemonic, 0) + count
             if result.halted or executed >= budget:
                 return self._package(transactions, counts, executed, result)
-            if not (early_exit and emulator._flip_done):
+            if not emulator._flip_done:
                 continue
             index, remainder = divmod(executed, interval)
             if (
@@ -684,7 +680,6 @@ class RtlCheckpointRunner(_CheckpointRunnerBase):
         rung: Checkpoint,
         fault: TransientFault,
         budget: int,
-        early_exit: bool,
     ) -> RunResult:
         core = self._core
         core.clear_faults()
@@ -705,7 +700,7 @@ class RtlCheckpointRunner(_CheckpointRunnerBase):
                 core.run_segment(state, slice_budget)
                 if state.halted or state.executed >= budget:
                     return self._package(core.finish_run(state))
-                if not (early_exit and state.cycles >= end_cycle):
+                if state.cycles < end_cycle:
                     continue
                 index, remainder = divmod(state.executed, interval)
                 if (

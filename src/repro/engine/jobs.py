@@ -110,8 +110,6 @@ class CampaignPlan:
     #: Rung spacing of the checkpointed transient runtime (``None`` selects
     #: the adaptive ladder); only consulted for plans with transient jobs.
     checkpoint_interval: Optional[int] = None
-    #: Early-convergence exit of the transient runtime.
-    early_exit: bool = True
     #: Planner-local checkpoint runner whose ladder recording produced
     #: ``golden`` (not sent to workers; the serial scheduler reuses it so a
     #: transient campaign pays for exactly one golden execution).

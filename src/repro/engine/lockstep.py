@@ -739,7 +739,6 @@ class LockstepPackRunner:
         replica: _Replica,
         leader_capture: Dict[str, Any],
         budget: int,
-        early_exit: bool,
         capture_final: bool,
         reason: str,
     ) -> PackOutcome:
@@ -792,7 +791,7 @@ class LockstepPackRunner:
                     emulator.capture_state(self._base_pages) if capture_final else None
                 )
                 return PackOutcome(run_result, "demoted", final)
-            if interval is None or not (early_exit and emulator._flip_done):
+            if interval is None or not emulator._flip_done:
                 continue
             index, remainder = divmod(executed, interval)
             if (
@@ -815,7 +814,6 @@ class LockstepPackRunner:
         live_slots: Dict[_Key, List[_Replica]],
         sticky: List[_Replica],
         budget: int,
-        early_exit: bool,
         capture_final: bool,
         reason: str,
     ) -> None:
@@ -838,8 +836,7 @@ class LockstepPackRunner:
             if replica.sticky:
                 sticky.remove(replica)
             replica.outcome = self._demote(
-                replica, leader_capture, budget, early_exit, capture_final,
-                reason,
+                replica, leader_capture, budget, capture_final, reason,
             )
 
     # -- in-pack propagation ------------------------------------------------------
@@ -1017,7 +1014,6 @@ class LockstepPackRunner:
         self,
         faults: Sequence[ArchitecturalFault],
         budget: int,
-        early_exit: bool = True,
         capture_final_state: bool = False,
     ) -> List[PackOutcome]:
         """Run one pack of replicas; element *i* of the returned list is
@@ -1070,8 +1066,7 @@ class LockstepPackRunner:
                     if self._executed >= self._max_instructions:
                         break  # golden budget exhausted: the watchdog case
                     trap = self._step_pack(
-                        pending, sticky, live_slots, budget, early_exit,
-                        capture_final_state,
+                        pending, sticky, live_slots, budget, capture_final_state,
                     )
                     if trap is not None:
                         halt_trap = trap
@@ -1150,8 +1145,7 @@ class LockstepPackRunner:
                         break
                     continue
                 trap = self._step_pack(
-                    pending, sticky, live_slots, budget, early_exit,
-                    capture_final_state,
+                    pending, sticky, live_slots, budget, capture_final_state,
                 )
                 if trap is not None:
                     halt_trap = trap
@@ -1254,7 +1248,6 @@ class LockstepPackRunner:
         sticky: List[_Replica],
         live_slots: Dict[_Key, List[_Replica]],
         budget: int,
-        early_exit: bool,
         capture_final: bool,
     ) -> Optional[TrapEvent]:
         """Execute exactly one leader instruction with full pack bookkeeping.
@@ -1364,7 +1357,7 @@ class LockstepPackRunner:
                         if replica.touches >= PROPAGATION_BUDGET]
                 if over:
                     self._demote_touched(
-                        over, live_slots, sticky, budget, early_exit,
+                        over, live_slots, sticky, budget,
                         capture_final, "propagation_budget",
                     )
                     touched = [
@@ -1385,7 +1378,7 @@ class LockstepPackRunner:
                         ]
                     if demoted:
                         self._demote_touched(
-                            demoted, live_slots, sticky, budget, early_exit,
+                            demoted, live_slots, sticky, budget,
                             capture_final, "address_divergence",
                         )
                         touched = [
@@ -1425,7 +1418,7 @@ class LockstepPackRunner:
                     ]
                     if touched:
                         self._demote_touched(
-                            touched, live_slots, sticky, budget, early_exit,
+                            touched, live_slots, sticky, budget,
                             capture_final, "branch_divergence",
                         )
                 elif op.handler is _TICC_HANDLER:
@@ -1450,7 +1443,7 @@ class LockstepPackRunner:
                         ]
                     if touched:
                         self._demote_touched(
-                            touched, live_slots, sticky, budget, early_exit,
+                            touched, live_slots, sticky, budget,
                             capture_final, "trap_divergence",
                         )
                 elif op.handler in _DIV_HANDLERS:
@@ -1476,7 +1469,7 @@ class LockstepPackRunner:
                         ]
                     if trapping:
                         self._demote_touched(
-                            trapping, live_slots, sticky, budget, early_exit,
+                            trapping, live_slots, sticky, budget,
                             capture_final, "div_zero",
                         )
                         touched = [
@@ -1514,7 +1507,7 @@ class LockstepPackRunner:
                     )
                 else:
                     self._demote_touched(
-                        touched, live_slots, sticky, budget, early_exit,
+                        touched, live_slots, sticky, budget,
                         capture_final, "unsupported_op",
                     )
         # 3. Execute on the leader (golden replay: traps other than the

@@ -41,6 +41,7 @@ from typing import (
     Any,
     Callable,
     Dict,
+    Iterator,
     List,
     Optional,
     Sequence,
@@ -76,7 +77,6 @@ def execute_job(
     budget: int,
     job: CampaignJob,
     runner: Optional["_CheckpointRunnerBase"] = None,
-    early_exit: bool = True,
 ) -> OutcomeRecord:
     """Run one injection job on *backend* and classify it against *golden*.
 
@@ -92,7 +92,7 @@ def execute_job(
     """
     with TELEMETRY.span("engine.job") as span:
         if runner is not None and isinstance(job, TransientJob):
-            faulty = runner.run_transient(job.fault, budget, early_exit=early_exit)
+            faulty = runner.run_transient(job.fault, budget)
         else:
             faulty = backend.run(max_instructions=budget, faults=[job.fault])
     comparison = compare_runs(golden, faulty)
@@ -141,7 +141,6 @@ def execute_pack(
     budget: int,
     pack_jobs: Sequence[CampaignJob],
     pack_runner: "LockstepPackRunner",
-    early_exit: bool = True,
 ) -> List[OutcomeRecord]:
     """Run one pack of jobs through the lockstep runtime and classify each
     replica against *golden*.
@@ -154,7 +153,7 @@ def execute_pack(
     """
     with TELEMETRY.span("lockstep.pack") as span:
         faults = [backend._to_architectural(job.fault) for job in pack_jobs]
-        outcomes = pack_runner.run_pack(faults, budget, early_exit=early_exit)
+        outcomes = pack_runner.run_pack(faults, budget)
     seconds = span.seconds / len(pack_jobs)
     records: List[OutcomeRecord] = []
     for job, outcome in zip(pack_jobs, outcomes):
@@ -172,6 +171,26 @@ def execute_pack(
             )
         )
     return records
+
+
+def execute_jobs(
+    backend: ExecutionBackend,
+    golden: RunResult,
+    budget: int,
+    jobs: Sequence[CampaignJob],
+    runner: Optional["_CheckpointRunnerBase"],
+    pack_runner: Optional["LockstepPackRunner"],
+) -> Iterator[OutcomeRecord]:
+    """The one job loop both schedulers run: *jobs* in order, through
+    lockstep packs when *pack_runner* is set, else one by one (forking
+    transients from *runner*'s ladder when it is set).  Records stream out
+    as each job (or pack) finishes."""
+    if pack_runner is not None:
+        for pack in group_packs(jobs, pack_runner.width):
+            yield from execute_pack(backend, golden, budget, pack, pack_runner)
+        return
+    for job in jobs:
+        yield execute_job(backend, golden, budget, job, runner=runner)
 
 
 def plan_runner(
@@ -210,27 +229,12 @@ class SerialScheduler:
             plan.backend, plan.max_instructions, plan.lockstep_width, runner=runner
         )
         records: List[OutcomeRecord] = []
-
-        def emit(record: OutcomeRecord) -> None:
+        for record in execute_jobs(
+            plan.backend, plan.golden, budget, plan.jobs, runner, pack_runner
+        ):
             records.append(record)
             if on_outcome is not None:
                 on_outcome(record)
-
-        if pack_runner is not None:
-            for pack in group_packs(plan.jobs, pack_runner.width):
-                for record in execute_pack(
-                    plan.backend, plan.golden, budget, pack,
-                    pack_runner, early_exit=plan.early_exit,
-                ):
-                    emit(record)
-            return records
-        for job in plan.jobs:
-            emit(
-                execute_job(
-                    plan.backend, plan.golden, budget, job,
-                    runner=runner, early_exit=plan.early_exit,
-                )
-            )
         return records
 
 
@@ -326,7 +330,6 @@ def _init_worker(
     max_instructions: int,
     transient: bool = False,
     checkpoint_interval: Optional[int] = None,
-    early_exit: bool = True,
     lockstep_width: int = 1,
     telemetry_enabled: bool = False,
     trace_path: Optional[str] = None,
@@ -363,7 +366,6 @@ def _init_worker(
     _WORKER["golden"] = golden
     _WORKER["budget"] = watchdog_budget(golden.instructions)
     _WORKER["runner"] = runner
-    _WORKER["early_exit"] = early_exit
     _WORKER["pack_runner"] = make_pack_runner(
         backend, max_instructions, lockstep_width, runner=runner
     )
@@ -376,29 +378,16 @@ def _run_batch(
     snapshot-and-reset of the worker's telemetry registry (``None`` when
     telemetry is off), so successive batches ship disjoint metric deltas the
     parent merges additively."""
-    backend: ExecutionBackend = _WORKER["backend"]  # type: ignore[assignment]
-    golden: RunResult = _WORKER["golden"]  # type: ignore[assignment]
-    budget: int = _WORKER["budget"]  # type: ignore[assignment]
-    runner = cast("Optional[_CheckpointRunnerBase]", _WORKER.get("runner"))
-    early_exit: bool = _WORKER.get("early_exit", True)  # type: ignore[assignment]
-    pack_runner = cast(
-        "Optional[LockstepPackRunner]", _WORKER.get("pack_runner")
+    records = list(
+        execute_jobs(
+            cast(ExecutionBackend, _WORKER["backend"]),
+            cast(RunResult, _WORKER["golden"]),
+            cast(int, _WORKER["budget"]),
+            jobs,
+            cast("Optional[_CheckpointRunnerBase]", _WORKER["runner"]),
+            cast("Optional[LockstepPackRunner]", _WORKER["pack_runner"]),
+        )
     )
-    if pack_runner is not None:
-        records = [
-            record
-            for pack in group_packs(jobs, pack_runner.width)
-            for record in execute_pack(
-                backend, golden, budget, pack, pack_runner, early_exit=early_exit
-            )
-        ]
-    else:
-        records = [
-            execute_job(
-                backend, golden, budget, job, runner=runner, early_exit=early_exit
-            )
-            for job in jobs
-        ]
     snapshot = TELEMETRY.snapshot(reset=True) if TELEMETRY.enabled else None
     if snapshot is not None and TELEMETRY.events is not None:
         # Keep the worker's trace sidecar current even if the pool is torn
@@ -456,7 +445,7 @@ class MultiprocessingScheduler:
             initializer=_init_worker,
             initargs=(
                 plan.backend_factory, plan.program, plan.max_instructions,
-                plan.transient, plan.checkpoint_interval, plan.early_exit,
+                plan.transient, plan.checkpoint_interval,
                 plan.lockstep_width, TELEMETRY.enabled,
                 events.path if events is not None else None,
                 plan.artifact_store_path, plan.artifact_key,

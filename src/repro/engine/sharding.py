@@ -176,7 +176,7 @@ def run_sharded_campaign(
         shard_config = dataclasses.replace(
             config, shards=shards, shard_index=shard_index, store_path=path
         )
-        if shard_paths and shard_config.artifact_cache:
+        if shard_paths:
             # Seed this shard's store with the golden recording the first
             # shard published, so all N shards of the campaign share a
             # single golden execution (content addressing makes the copy a

@@ -1,6 +1,7 @@
-"""Permanent-fault injection campaigns on the structural Leon3 model.
+"""Failure classification and campaign results.
 
-The campaign flow mirrors the paper's RTL methodology (Figure 2):
+The campaign flow mirrors the paper's RTL methodology (Figure 2) and runs
+through :class:`~repro.engine.campaign.CampaignEngine`:
 
 1. run the workload fault-free and capture the *golden* off-core transaction
    stream,
@@ -12,50 +13,17 @@ The campaign flow mirrors the paper's RTL methodology (Figure 2):
    trap, hang) and aggregate the percentage of faults that propagate to
    failures — the ``Pf`` reported in Figures 3-7.
 
-Beyond the paper's permanent models, :func:`run_transient_campaign` opens
-SEU-style transient campaigns (storage-cell upsets inside a sampled time
-window) executed through the checkpointed runtime of
-:mod:`repro.engine.checkpoint` — the same flow, orders of magnitude more
-injections per CPU hour.
+This package holds steps 3-4: :func:`compare_runs` classifies one faulty run
+against the golden one, and :class:`CampaignResult` aggregates one fault
+model's :class:`InjectionOutcome` records into ``Pf`` and its breakdown.
 """
 
 from repro.faultinjection.comparison import FailureClass, compare_runs
 from repro.faultinjection.results import CampaignResult, InjectionOutcome
 
-#: Campaign/injector symbols are re-exported lazily: those modules sit *above*
-#: the engine layer, while the engine itself imports the leaf modules
-#: (``comparison``, ``results``) from this package — eager imports here would
-#: close an import cycle.
-_LAZY_EXPORTS = {
-    "CampaignConfig": "repro.faultinjection.campaign",
-    "FaultInjectionCampaign": "repro.faultinjection.campaign",
-    "FaultInjector": "repro.faultinjection.injector",
-    "run_iu_campaign": "repro.faultinjection.campaign",
-    "run_cmem_campaign": "repro.faultinjection.campaign",
-    "run_iss_campaign": "repro.faultinjection.campaign",
-    "run_transient_campaign": "repro.faultinjection.campaign",
-}
-
-
-def __getattr__(name):
-    module_name = _LAZY_EXPORTS.get(name)
-    if module_name is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    return getattr(importlib.import_module(module_name), name)
-
-
 __all__ = [
-    "CampaignConfig",
-    "FaultInjectionCampaign",
     "FailureClass",
     "compare_runs",
-    "FaultInjector",
     "CampaignResult",
     "InjectionOutcome",
-    "run_iu_campaign",
-    "run_cmem_campaign",
-    "run_iss_campaign",
-    "run_transient_campaign",
 ]

@@ -122,12 +122,6 @@ class ExecutionTrace:
         """Executed-instruction histogram keyed by mnemonic."""
         return dict(self.opcode_counts)
 
-    def executed_opcodes(self) -> Set[str]:
-        return set(self.opcode_counts)
-
-    def category_histogram(self) -> Dict[InstructionCategory, int]:
-        return dict(self.category_counts)
-
     def merge(self, other: "ExecutionTrace") -> "ExecutionTrace":
         """Return a new trace combining *self* and *other* (used for subsets)."""
         merged = ExecutionTrace(detailed=False)

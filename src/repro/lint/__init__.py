@@ -28,14 +28,13 @@ Rules (see :mod:`repro.lint.rules` and ``docs/determinism.md``):
   (``repro/store/artifacts.py``) is imported only from the strict-mypy
   packages (``engine``, ``store``, ``obs``).
 
-Findings can be suppressed per line (``# reprolint: ignore[R001]``) or
-grandfathered in a committed baseline file; ``repro lint`` exits non-zero
-on any fresh finding, which is the CI contract.
+Findings can be suppressed per line (``# reprolint: ignore[R001]``);
+``repro lint`` exits non-zero on any other finding, which is the CI
+contract.
 """
 
-from repro.lint.baseline import Baseline
 from repro.lint.diagnostics import Finding
 from repro.lint.engine import LintReport, lint_paths
 from repro.lint.rules import ALL_RULES
 
-__all__ = ["ALL_RULES", "Baseline", "Finding", "LintReport", "lint_paths"]
+__all__ = ["ALL_RULES", "Finding", "LintReport", "lint_paths"]

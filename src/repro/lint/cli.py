@@ -5,10 +5,9 @@
     repro lint                        # lint src/repro, text diagnostics
     repro lint --format json          # machine-readable (the CI mode)
     repro lint src/repro/engine       # lint a subtree
-    repro lint --write-baseline       # grandfather the current findings
 
-Exit codes: 0 clean (baselined findings do not fail), 1 fresh findings,
-2 usage or input errors (unreadable/unparsable files, bad baselines).
+Exit codes: 0 clean, 1 findings, 2 usage or input errors (unreadable or
+unparsable files).
 """
 
 from __future__ import annotations
@@ -19,11 +18,6 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from repro.lint.baseline import (
-    DEFAULT_BASELINE_NAME,
-    Baseline,
-    BaselineError,
-)
 from repro.lint.engine import LintError, LintReport, lint_paths
 from repro.lint.rules import ALL_RULES
 
@@ -49,23 +43,6 @@ def add_lint_parser(commands: argparse._SubParsersAction) -> None:
         default="text",
         help="diagnostic output format (default: text)",
     )
-    lint.add_argument(
-        "--baseline",
-        default=None,
-        metavar="FILE",
-        help=f"baseline file of grandfathered findings "
-        f"(default: {DEFAULT_BASELINE_NAME} in the working directory)",
-    )
-    lint.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore any baseline file (report grandfathered findings too)",
-    )
-    lint.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="write the current findings to the baseline file and exit 0",
-    )
     lint.set_defaults(handler=cmd_lint)
 
 
@@ -87,37 +64,15 @@ def _render_text(report: LintReport, stream) -> None:
         f"{'' if len(report.findings) == 1 else 's'} "
         f"in {report.files_scanned} files"
     )
-    details = []
-    if report.baselined:
-        details.append(f"{len(report.baselined)} baselined")
     if report.suppressed:
-        details.append(f"{report.suppressed} suppressed inline")
-    if details:
-        summary += f" ({', '.join(details)})"
+        summary += f" ({report.suppressed} suppressed inline)"
     print(summary, file=stream)
 
 
 def cmd_lint(args: argparse.Namespace) -> int:
     try:
-        paths = list(args.paths) or _default_paths()
-        baseline_path = (
-            Path(args.baseline) if args.baseline else Path(DEFAULT_BASELINE_NAME)
-        )
-        if args.write_baseline:
-            report = lint_paths(paths)
-            Baseline.from_findings(report.findings).save(baseline_path)
-            print(
-                f"reprolint: wrote {len(report.findings)} grandfathered "
-                f"finding(s) to {baseline_path}"
-            )
-            return 0
-        baseline = (
-            Baseline.empty()
-            if args.no_baseline
-            else Baseline.load(baseline_path)
-        )
-        report = lint_paths(paths, baseline=baseline)
-    except (LintError, BaselineError) as exc:
+        report = lint_paths(list(args.paths) or _default_paths())
+    except LintError as exc:
         print(f"repro lint: error: {exc}", file=sys.stderr)
         return 2
     if args.format == "json":

@@ -1,16 +1,13 @@
 """Finding objects and their canonical renderings.
 
 A :class:`Finding` is one diagnostic: a rule identifier, a position and a
-message.  Its :meth:`~Finding.fingerprint` deliberately excludes the line
-and column — baselines match grandfathered findings by *what* they say and
-*where they live* (file + rule + message), so unrelated edits that shift
-line numbers do not resurrect suppressed findings.
+message.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict
 
 
 @dataclass(frozen=True, order=True)
@@ -26,10 +23,6 @@ class Finding:
     def render(self) -> str:
         """The ``file:line:col: RXXX message`` diagnostic line."""
         return f"{self.file}:{self.line}:{self.col}: {self.rule} {self.message}"
-
-    def fingerprint(self) -> Tuple[str, str, str]:
-        """Baseline identity: position-independent (file, rule, message)."""
-        return (self.file, self.rule, self.message)
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-ready form (the ``repro lint --format json`` schema)."""

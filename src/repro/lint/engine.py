@@ -3,8 +3,7 @@
 One :func:`lint_paths` call is one lint run: every ``.py`` file under the
 given paths is parsed once, each rule's per-module pass streams over the
 parsed modules, project-wide rules finalize, and the findings are filtered
-through inline ``# reprolint: ignore[RXXX]`` suppressions and the
-committed baseline.  The result is a :class:`LintReport` the CLI renders
+through inline ``# reprolint: ignore[RXXX]`` suppressions.  The result is a :class:`LintReport` the CLI renders
 as text or JSON.
 """
 
@@ -12,9 +11,8 @@ from __future__ import annotations
 
 import re
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Union
 
-from repro.lint.baseline import Baseline
 from repro.lint.diagnostics import Finding
 from repro.lint.rules import ALL_RULES, Rule, build_module
 
@@ -35,14 +33,11 @@ class LintReport:
     def __init__(
         self,
         findings: List[Finding],
-        baselined: List[Finding],
         suppressed: int,
         files_scanned: int,
     ) -> None:
-        #: Fresh findings (fail the run when non-empty).
+        #: Findings (fail the run when non-empty).
         self.findings = findings
-        #: Findings matched (and absorbed) by the baseline.
-        self.baselined = baselined
         #: Count of findings silenced by inline suppressions.
         self.suppressed = suppressed
         self.files_scanned = files_scanned
@@ -59,7 +54,6 @@ class LintReport:
             "summary": {
                 "files_scanned": self.files_scanned,
                 "fresh": len(self.findings),
-                "baselined": len(self.baselined),
                 "suppressed": self.suppressed,
                 "rules": sorted(
                     {finding.rule for finding in self.findings}
@@ -112,13 +106,11 @@ def _suppressions(lines: Sequence[str]) -> Dict[int, Optional[Set[str]]]:
 def lint_paths(
     paths: Sequence[Union[str, Path]],
     root: Optional[Union[str, Path]] = None,
-    baseline: Optional[Baseline] = None,
     rules: Optional[Iterable[type]] = None,
 ) -> LintReport:
     """Run reprolint over *paths* and return the report.
 
-    *root* anchors the relative paths findings (and baseline fingerprints)
-    are reported with — default: the current working directory.  *rules*
+    *root* anchors the relative paths findings are reported with — default: the current working directory.  *rules*
     overrides the rule set (used by the fixture tests to isolate one rule).
     """
     root = Path(root) if root is not None else Path.cwd()
@@ -155,10 +147,8 @@ def lint_paths(
         else:
             kept.append(finding)
 
-    fresh, baselined = (baseline or Baseline.empty()).filter(kept)
     return LintReport(
-        findings=fresh,
-        baselined=baselined,
+        findings=kept,
         suppressed=suppressed,
         files_scanned=len(files),
     )

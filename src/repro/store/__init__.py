@@ -23,8 +23,8 @@ The store subsystem makes fault-injection campaigns durable artifacts:
 The engine integration lives in :meth:`repro.engine.campaign.CampaignEngine.run`
 (``store=`` hook, ``CampaignConfig.store_path`` / ``resume``); resumed-then-
 merged campaigns are bit-identical to uninterrupted ones, and a repeated
-campaign with an unchanged key executes zero new injections — and, with the
-artifact cache (``CampaignConfig.artifact_cache``, default on), zero golden
+campaign with an unchanged key executes zero new injections — and, through
+the artifact cache (always on for file-backed stores), zero golden
 executions too.
 """
 

@@ -325,13 +325,11 @@ def cmd_campaign_run(args: argparse.Namespace) -> int:
         transient_windows=args.transient,
         transient_duration=args.duration,
         checkpoint_interval=args.checkpoint_interval,
-        early_exit=not args.no_early_exit,
         lockstep_width=args.lockstep,
         telemetry=not args.no_telemetry,
         trace_path=args.trace,
         shards=args.shards,
         shard_index=args.shard_index,
-        artifact_cache=not args.no_artifact_cache,
     )
     with _open_store(args.store) as store:
         return _run_engine(store, config, program, args.backend, args.quiet)
@@ -781,8 +779,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--checkpoint-interval", type=int, default=None,
                      help="golden-ladder rung spacing in instructions "
                           "(default: adaptive)")
-    run.add_argument("--no-early-exit", action="store_true",
-                     help="disable the early-convergence exit (debugging)")
     run.add_argument("--lockstep", type=int, default=1, metavar="N",
                      help="execute N faulty replicas per lockstep pack "
                           "through one shared front end (ISS backend; "
@@ -803,11 +799,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--max-instructions", type=int, default=400_000)
     run.add_argument("--no-resume", action="store_true",
                      help="re-execute even if outcomes are already stored")
-    run.add_argument("--no-artifact-cache", action="store_true",
-                     help="skip the golden-artifact cache: always execute "
-                          "the golden run fresh instead of loading the "
-                          "store's verified recording (results are "
-                          "bit-identical either way)")
     run.add_argument("--quiet", action="store_true", help="no progress output")
     run.add_argument("--no-telemetry", action="store_true",
                      help="disable metrics collection and the run manifest "

@@ -91,8 +91,8 @@ if TYPE_CHECKING:
 #:   ``tests/test_checkpoint.py`` across the workload registry on both
 #:   backends and re-verified by ``benchmarks/bench_transient_throughput.py``
 #:   before it reports any number.  Like the fast interpreters, it is an
-#:   execution strategy: ``checkpoint_interval`` and ``early_exit`` are
-#:   therefore excluded from the key.
+#:   execution strategy: ``checkpoint_interval`` is therefore excluded from
+#:   the key (the early-convergence exit always runs and has no knob).
 #:
 #: * The ``StorageArray._last_read`` reset fix (see
 #:   :meth:`repro.rtl.netlist.StorageArray.reset`) closes a cross-run leak
@@ -126,10 +126,7 @@ RESULT_TRANSPARENT = frozenset(
         "chunk_size",
         "store_path",
         "resume",
-        "iss_fast",
-        "rtl_fast",
         "checkpoint_interval",
-        "early_exit",
         "telemetry",
         "trace_path",
         "lockstep_width",
@@ -143,15 +140,6 @@ RESULT_TRANSPARENT = frozenset(
         # byte-identical across shard coordinates.
         "shards",
         "shard_index",
-        # The golden-artifact cache replays a *recording* of the golden
-        # execution (RunResult + checkpoint ladder + touch timeline) that is
-        # bit-identical to re-executing it — enforced by state-digest
-        # verification on every load (engine/checkpoint.py from_artifact) and
-        # the cached==fresh campaign tests in tests/test_artifacts.py.
-        # Turning the cache off merely re-derives the same bytes, so the
-        # flag can never change a stored outcome.  KEY_VERSION stays at 1;
-        # artifact keys live in their own namespace (see artifact_key).
-        "artifact_cache",
     }
 )
 

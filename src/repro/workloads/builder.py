@@ -2,14 +2,13 @@
 
 The workload kernels are written as SPARC assembly templates generated by
 Python functions.  This module centralises the boilerplate they share:
-deterministic pseudo-random dataset generation, data-section formatting, the
-standard prologue (pointer setup) and epilogue (result checksum and the
-``ta 0`` exit convention).
+deterministic pseudo-random dataset generation, data-section formatting and
+the standard epilogue (the ``ta 0`` exit convention).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+from typing import List, Sequence
 
 from repro.isa.assembler import Program, assemble
 
@@ -49,20 +48,6 @@ def reserve_block(label: str, size_bytes: int) -> str:
     anywhere inside the block without tripping alignment traps.
     """
     return f"        .align  8\n{label}:\n        .space  {size_bytes}"
-
-
-def standard_prologue(pointers: Iterable[str]) -> str:
-    """Load the addresses of the given data labels into ``%l0``, ``%l1``, ...
-
-    Up to six pointers are supported (``%l0`` .. ``%l5``); ``%l6``/``%l7`` are
-    left for the kernels themselves.
-    """
-    lines = ["        .text", "start:"]
-    for index, label in enumerate(pointers):
-        if index > 5:
-            raise ValueError("at most six pointer registers are available")
-        lines.append(f"        set     {label}, %l{index}")
-    return "\n".join(lines)
 
 
 def standard_epilogue() -> str:

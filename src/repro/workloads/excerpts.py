@@ -18,7 +18,7 @@ Figure 7.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict
 
 from repro.isa.assembler import Program
 from repro.workloads.builder import (
@@ -119,13 +119,3 @@ def build_subset_b(member: str = "rspeed") -> Program:
     if member not in SUBSET_B_MEMBERS:
         raise ValueError(f"unknown subset-B member {member!r}")
     return _build_excerpt("b", member, SUBSET_B_MEMBERS[member])
-
-
-def all_excerpts() -> Dict[str, Tuple[str, Program]]:
-    """All six excerpt programs, keyed by member name -> (subset, program)."""
-    excerpts: Dict[str, Tuple[str, Program]] = {}
-    for member in SUBSET_A_MEMBERS:
-        excerpts[member] = ("a", build_subset_a(member))
-    for member in SUBSET_B_MEMBERS:
-        excerpts[member] = ("b", build_subset_b(member))
-    return excerpts

@@ -372,20 +372,6 @@ class TestCampaignCache:
         assert misses == 0 and hits >= 1
         _assert_identical(packed_results, warm)
 
-    def test_cache_disabled_never_touches_artifacts(
-        self, small_program, tmp_path
-    ):
-        store_path = str(tmp_path / "c.sqlite")
-        engine = _campaign(
-            small_program, "iss", store_path, transient=True,
-            artifact_cache=False,
-        )
-        engine.run()
-        hits, misses = _golden_counters()
-        assert (hits, misses) == (0, 0)
-        with CampaignStore(store_path) as store:
-            assert store.list_artifacts() == []
-
     def test_memory_store_skips_the_cache(self, small_program):
         with CampaignStore(":memory:") as store:
             engine = _campaign(small_program, "iss", transient=True)
@@ -535,22 +521,5 @@ class TestArtifactCli:
             == 0
         )
         assert "removed 1" in capsys.readouterr().out
-        with CampaignStore(store_path) as store:
-            assert store.list_artifacts() == []
-
-    def test_no_artifact_cache_flag(self, tmp_path, capsys):
-        store_path = str(tmp_path / "c.sqlite")
-        assert (
-            cli_main(
-                [
-                    "campaign", "run", "--workload", "intbench",
-                    "--backend", "iss", "--transient", "1", "--sites", "2",
-                    "--no-artifact-cache", "--quiet",
-                    "--store", store_path,
-                ]
-            )
-            == 0
-        )
-        capsys.readouterr()
         with CampaignStore(store_path) as store:
             assert store.list_artifacts() == []

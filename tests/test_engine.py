@@ -17,7 +17,6 @@ from repro.engine import (
     watchdog_budget,
 )
 from repro.engine.schedulers import chunk_jobs
-from repro.faultinjection.campaign import FaultInjectionCampaign
 from repro.faultinjection.comparison import FailureClass, compare_runs
 from repro.isa.assembler import assemble
 from repro.rtl.faults import ALL_FAULT_MODELS, FaultModel, PermanentFault
@@ -200,10 +199,9 @@ class TestSchedulers:
         total = 6 * 2
         assert seen == [(i, total) for i in range(1, total + 1)]
 
-    def test_campaign_facade_exposes_n_workers(self, small_program):
+    def test_pool_campaign_reports(self, small_program):
         config = self._config(n_workers=2, chunk_size=4)
-        campaign = FaultInjectionCampaign(small_program, config)
-        results = campaign.run()
+        results = CampaignEngine(small_program, config).run()
         result = results[FaultModel.STUCK_AT_1]
         assert result.injections == 6
         assert result.simulation_seconds > 0

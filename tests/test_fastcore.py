@@ -18,7 +18,6 @@ from conftest import SMALL_PROGRAM_SOURCE
 
 from repro.engine import CampaignConfig, CampaignEngine, Leon3RtlBackend
 from repro.engine.backend import watchdog_budget
-from repro.faultinjection.campaign import run_iu_campaign
 from repro.isa.assembler import assemble
 from repro.leon3.core import Leon3Core
 from repro.leon3.fastcore import (
@@ -357,33 +356,19 @@ class TestSelection:
 
     def test_campaign_config_selects_cycle_engine(self):
         program = assemble(SMALL_PROGRAM_SOURCE, name="small")
-        config = CampaignConfig(sample_size=2, rtl_fast=False)
-        engine = CampaignEngine(program, config, backend_factory=Leon3RtlBackend)
+        config = CampaignConfig(sample_size=2)
+        engine = CampaignEngine(
+            program, config,
+            backend_factory=functools.partial(Leon3RtlBackend, fast=False),
+        )
         assert isinstance(engine.backend.core, Leon3Core)
-        default_engine = CampaignEngine(program, backend_factory=Leon3RtlBackend)
+        default_engine = CampaignEngine(program, config)
         assert isinstance(default_engine.backend.core, Leon3FastCore)
         # Both cycle-engine choices share one store identity: the flag is
         # result-transparent and must not fork the campaign cache.
         assert backend_identity("rtl", engine.backend_factory) == backend_identity(
             "rtl", default_engine.backend_factory
         ) == backend_identity("rtl", Leon3RtlBackend)
-
-    def test_campaign_config_honours_partial_rtl_factories(self):
-        program = assemble(SMALL_PROGRAM_SOURCE, name="small")
-        config = CampaignConfig(sample_size=2, rtl_fast=False)
-        # A partial customising an unrelated knob still gets the config's
-        # engine choice; an explicit fast= binding wins over the config.
-        engine = CampaignEngine(
-            program, config,
-            backend_factory=functools.partial(Leon3RtlBackend, icache_lines=8),
-        )
-        assert isinstance(engine.backend.core, Leon3Core)
-        assert engine.backend.core.cmem.icache.lines == 8
-        pinned = CampaignEngine(
-            program, config,
-            backend_factory=functools.partial(Leon3RtlBackend, fast=True),
-        )
-        assert isinstance(pinned.backend.core, Leon3FastCore)
 
     def test_geometry_partials_keep_their_own_identity(self):
         bare = backend_identity("rtl", Leon3RtlBackend)
@@ -410,13 +395,19 @@ class TestSelection:
                 functools.partial(Leon3RtlBackend, fast=True, core=Leon3FastCore()),
             )
 
-    def test_run_iu_campaign_fast_matches_reference(self):
+    def test_reference_core_campaign_matches_fast(self):
         program = build_program("intbench")
-        shared = {
-            "sample_size": 5, "fault_models": [FaultModel.STUCK_AT_1], "seed": 11,
-        }
-        fast = run_iu_campaign(program, fast=True, **shared)
-        reference = run_iu_campaign(program, fast=False, **shared)
+        config = CampaignConfig(
+            sample_size=5, fault_models=[FaultModel.STUCK_AT_1], seed=11
+        )
+        fast_engine = CampaignEngine(program, config)
+        reference_engine = CampaignEngine(
+            program, config,
+            backend_factory=functools.partial(Leon3RtlBackend, fast=False),
+        )
+        assert reference_engine.store_key() == fast_engine.store_key()
+        fast = fast_engine.run()
+        reference = reference_engine.run()
         for model in fast:
             assert fast[model].outcomes == reference[model].outcomes
             assert (
@@ -437,8 +428,7 @@ class TestStoreRoundTrip:
             "store_path": store_path,
         }
         fast_results = CampaignEngine(
-            program, CampaignConfig(rtl_fast=True, **shared),
-            backend_factory=Leon3RtlBackend,
+            program, CampaignConfig(**shared), backend_factory=Leon3RtlBackend
         ).run()
         with CampaignStore(store_path) as store:
             after_fast = store.counters()
@@ -447,8 +437,8 @@ class TestStoreRoundTrip:
         # The reference engine must hit the fast engine's stored campaign:
         # same key, zero new injections, bit-identical outcomes.
         reference_results = CampaignEngine(
-            program, CampaignConfig(rtl_fast=False, **shared),
-            backend_factory=Leon3RtlBackend,
+            program, CampaignConfig(**shared),
+            backend_factory=functools.partial(Leon3RtlBackend, fast=False),
         ).run()
         with CampaignStore(store_path) as store:
             after_reference = store.counters()

@@ -8,6 +8,8 @@ injected architectural faults, plus the decode-cache invalidation rule and
 the delayed control-transfer corner cases that live in the hot loop.
 """
 
+import functools
+
 import pytest
 
 from conftest import SMALL_PROGRAM_SOURCE
@@ -15,7 +17,6 @@ from conftest import SMALL_PROGRAM_SOURCE
 import repro.iss.fastpath as fastpath
 from repro.engine import CampaignConfig, CampaignEngine, IssBackend
 from repro.engine.backend import ARCH_REGFILE_UNIT
-from repro.faultinjection.campaign import run_iss_campaign
 from repro.isa import encoding
 from repro.isa.assembler import assemble
 from repro.isa.encoding import OP_ARITH
@@ -292,7 +293,7 @@ loop:
 
 
 # ---------------------------------------------------------------------------
-# Backend / engine / façade selection
+# Backend / engine selection
 # ---------------------------------------------------------------------------
 
 
@@ -323,12 +324,13 @@ class TestSelection:
 
     def test_campaign_config_selects_interpreter(self):
         program = assemble(SMALL_PROGRAM_SOURCE, name="small")
-        config = CampaignConfig(
-            unit_scope=ARCH_REGFILE_UNIT, sample_size=2, iss_fast=False
+        config = CampaignConfig(unit_scope=ARCH_REGFILE_UNIT, sample_size=2)
+        engine = CampaignEngine(
+            program, config,
+            backend_factory=functools.partial(IssBackend, fast=False),
         )
-        engine = CampaignEngine(program, config, backend_factory=IssBackend)
         assert engine.backend.fast is False
-        default_engine = CampaignEngine(program, backend_factory=IssBackend)
+        default_engine = CampaignEngine(program, config, backend_factory=IssBackend)
         assert default_engine.backend.fast is True
         # Both interpreter choices share one store identity: the flag is
         # result-transparent and must not fork the campaign cache.
@@ -336,45 +338,10 @@ class TestSelection:
             "iss", default_engine.backend_factory
         ) == backend_identity("iss", IssBackend)
 
-    def test_campaign_config_honours_partial_iss_factories(self):
-        import functools
-
-        program = assemble(SMALL_PROGRAM_SOURCE, name="small")
-        config = CampaignConfig(
-            unit_scope=ARCH_REGFILE_UNIT, sample_size=2, iss_fast=False
-        )
-        # A partial that customises an unrelated flag must still get the
-        # config's interpreter choice (silently ignoring iss_fast here was a
-        # review finding); an explicit fast= binding wins over the config.
-        engine = CampaignEngine(
-            program,
-            config,
-            backend_factory=functools.partial(IssBackend, detailed_trace=True),
-        )
-        assert engine.backend.fast is False
-        assert engine.backend.detailed_trace is True
-        pinned = CampaignEngine(
-            program,
-            config,
-            backend_factory=functools.partial(IssBackend, fast=True),
-        )
-        assert pinned.backend.fast is True
-        # A positionally bound fast (second constructor argument) also wins —
-        # rebinding it as a keyword would crash backend construction.
-        positional = CampaignEngine(
-            program,
-            CampaignConfig(unit_scope=ARCH_REGFILE_UNIT, sample_size=2,
-                           iss_fast=True),
-            backend_factory=functools.partial(IssBackend, False, False),
-        )
-        assert positional.backend.fast is False
-
     def test_result_affecting_partials_get_their_own_identity(self):
         # Only the ISS interpreter flags are result-transparent: a partial
         # binding anything else (e.g. RTL cache geometry) must not alias the
         # bare factory's stored campaigns.
-        import functools
-
         from repro.engine import Leon3RtlBackend
 
         bare = backend_identity("rtl", Leon3RtlBackend)
@@ -399,8 +366,6 @@ class TestSelection:
         # matches again), and rendering by type would alias
         # differently-configured instances (silently serving wrong stored
         # results) — so object-valued bound arguments must fail loud.
-        import functools
-
         from repro.engine import Leon3RtlBackend
         from repro.leon3.core import Leon3Core
 
@@ -435,13 +400,22 @@ class TestSelection:
         )
         assert reference._flip_done and fast._flip_done
 
-    def test_run_iss_campaign_fast_matches_reference(self):
+    def test_reference_interpreter_campaign_matches_fast(self):
         program = build_program("rspeed")
-        shared = {
-            "sample_size": 6, "fault_models": [FaultModel.STUCK_AT_1], "seed": 11,
-        }
-        fast = run_iss_campaign(program, fast=True, **shared)
-        reference = run_iss_campaign(program, fast=False, **shared)
+        config = CampaignConfig(
+            unit_scope=ARCH_REGFILE_UNIT,
+            sample_size=6,
+            fault_models=[FaultModel.STUCK_AT_1],
+            seed=11,
+        )
+        fast_engine = CampaignEngine(program, config, backend_factory=IssBackend)
+        reference_engine = CampaignEngine(
+            program, config,
+            backend_factory=functools.partial(IssBackend, fast=False),
+        )
+        assert reference_engine.store_key() == fast_engine.store_key()
+        fast = fast_engine.run()
+        reference = reference_engine.run()
         for model in fast:
             assert fast[model].outcomes == reference[model].outcomes
             assert (

@@ -1,16 +1,10 @@
-"""Tests for the fault-injection framework (comparison, injector, campaign)."""
+"""Tests for the fault-injection framework (comparison, injection, campaign)."""
 
 import pytest
 
-from repro.faultinjection.campaign import (
-    CampaignConfig,
-    FaultInjectionCampaign,
-    run_cmem_campaign,
-    run_iu_campaign,
-)
+from repro.engine import CampaignConfig, CampaignEngine, Leon3RtlBackend
+from repro.engine.backend import watchdog_budget
 from repro.faultinjection.comparison import FailureClass, compare_runs
-from repro.faultinjection.injector import FaultInjector
-from repro.faultinjection.models import faults_for_sites
 from repro.faultinjection.results import CampaignResult, InjectionOutcome
 from repro.isa.assembler import assemble
 from repro.isa.instructions import FunctionalUnit
@@ -220,35 +214,49 @@ def small_program_module():
 
 
 class TestInjector:
+    """Golden and faulty runs of one program: the engine caches its golden
+    run, and one backend instance is reused across faulty runs, so each run
+    must start from a clean state."""
+
+    @staticmethod
+    def _backend(program):
+        backend = Leon3RtlBackend()
+        backend.prepare(program)
+        return backend
+
     def test_golden_run_cached_and_normal(self, small_program_module):
-        injector = FaultInjector(small_program_module)
-        golden = injector.golden_run()
+        engine = CampaignEngine(small_program_module)
+        golden = engine.golden_run()
         assert golden.normal_exit
-        assert injector.golden_run() is golden
+        assert engine.golden_run() is golden
 
     def test_faulty_budget_exceeds_golden(self, small_program_module):
-        injector = FaultInjector(small_program_module)
-        assert injector.faulty_budget() > injector.golden_run().instructions
+        golden = self._backend(small_program_module).run(max_instructions=400_000)
+        assert golden.normal_exit
+        assert watchdog_budget(golden.instructions) > golden.instructions
 
     def test_run_with_fault_restores_state_for_next_run(self, small_program_module):
-        injector = FaultInjector(small_program_module)
-        golden = injector.golden_run()
-        site = injector.core.netlist.site_for("alu.adder.sum", 0)
-        injector.run_with_fault(PermanentFault(site, FaultModel.STUCK_AT_1))
+        backend = self._backend(small_program_module)
+        golden = backend.run(max_instructions=400_000)
+        budget = watchdog_budget(golden.instructions)
+        site = backend.core.netlist.site_for("alu.adder.sum", 0)
+        backend.run(budget, [PermanentFault(site, FaultModel.STUCK_AT_1)])
         # A subsequent clean faulty run with a harmless fault must match golden.
-        harmless_site = injector.core.netlist.site_for("alu.div.quotient", 0)
-        clean = injector.run_with_fault(PermanentFault(harmless_site, FaultModel.STUCK_AT_1))
+        harmless_site = backend.core.netlist.site_for("alu.div.quotient", 0)
+        harmless = PermanentFault(harmless_site, FaultModel.STUCK_AT_1)
+        clean = backend.run(budget, [harmless])
         assert len(clean.transactions) == len(golden.transactions)
         assert all(a.matches(b) for a, b in zip(golden.transactions, clean.transactions))
 
     def test_multi_fault_injection_supported(self, small_program_module):
-        injector = FaultInjector(small_program_module)
-        sites = [
-            injector.core.netlist.site_for("alu.adder.sum", 0),
-            injector.core.netlist.site_for("alu.adder.sum", 1),
+        backend = self._backend(small_program_module)
+        golden = backend.run(max_instructions=400_000)
+        netlist = backend.core.netlist
+        faults = [
+            PermanentFault(netlist.site_for("alu.adder.sum", bit), FaultModel.STUCK_AT_1)
+            for bit in (0, 1)
         ]
-        faults = faults_for_sites(sites, FaultModel.STUCK_AT_1)
-        result = injector.run_with_faults(faults)
+        result = backend.run(watchdog_budget(golden.instructions), faults)
         assert result.instructions > 0
 
 
@@ -257,8 +265,7 @@ class TestCampaign:
         config = CampaignConfig(
             unit_scope="iu", sample_size=12, fault_models=[FaultModel.STUCK_AT_1], seed=1
         )
-        campaign = FaultInjectionCampaign(small_program_module, config)
-        results = campaign.run()
+        results = CampaignEngine(small_program_module, config).run()
         result = results[FaultModel.STUCK_AT_1]
         assert result.injections == 12
         assert 0.0 <= result.failure_probability <= 1.0
@@ -272,26 +279,18 @@ class TestCampaign:
             fault_models=[FaultModel.STUCK_AT_1, FaultModel.STUCK_AT_0],
             seed=3,
         )
-        results = FaultInjectionCampaign(small_program_module, config).run()
+        results = CampaignEngine(small_program_module, config).run()
         sites_sa1 = [o.fault.site for o in results[FaultModel.STUCK_AT_1].outcomes]
         sites_sa0 = [o.fault.site for o in results[FaultModel.STUCK_AT_0].outcomes]
         assert sites_sa1 == sites_sa0
 
     def test_sampling_is_reproducible(self, small_program_module):
         config = CampaignConfig(unit_scope="iu", sample_size=8, seed=9)
-        first = FaultInjectionCampaign(small_program_module, config).select_sites()
-        second = FaultInjectionCampaign(small_program_module, config).select_sites()
+        first = CampaignEngine(small_program_module, config).select_sites()
+        second = CampaignEngine(small_program_module, config).select_sites()
         assert first == second
 
     def test_scope_restricts_sites(self, small_program_module):
         config = CampaignConfig(unit_scope="cmem", sample_size=10, seed=2)
-        campaign = FaultInjectionCampaign(small_program_module, config)
-        assert all(site.unit.startswith("cmem") for site in campaign.select_sites())
-
-    def test_convenience_wrappers(self, small_program_module):
-        iu = run_iu_campaign(small_program_module, sample_size=5,
-                             fault_models=[FaultModel.STUCK_AT_1])
-        cmem = run_cmem_campaign(small_program_module, sample_size=5,
-                                 fault_models=[FaultModel.STUCK_AT_1])
-        assert iu[FaultModel.STUCK_AT_1].unit_scope == "iu"
-        assert cmem[FaultModel.STUCK_AT_1].unit_scope == "cmem"
+        engine = CampaignEngine(small_program_module, config)
+        assert all(site.unit.startswith("cmem") for site in engine.select_sites())

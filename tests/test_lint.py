@@ -1,12 +1,11 @@
-"""reprolint: per-rule fixtures, suppressions, baselines, CLI output.
+"""reprolint: per-rule fixtures, suppressions, CLI output.
 
 Each rule gets a good/bad snippet pair laid out as a miniature ``src/repro``
 tree (rules scope by subpackage, so the fixture files must live at realistic
-paths).  On top of the per-rule checks: inline-suppression and baseline
-round-trips, the ``--format json`` schema, the CLI exit codes, and the
-self-clean gate — the real repository must lint clean with no baseline,
-which is what keeps the CI static-analysis job a hard failure for any new
-violation.
+paths).  On top of the per-rule checks: inline suppressions, the
+``--format json`` schema, the CLI exit codes, and the self-clean gate — the
+real repository must lint clean, which is what keeps the CI static-analysis
+job a hard failure for any new violation.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint.baseline import Baseline
 from repro.lint.cli import main as lint_main
 from repro.lint.engine import LintError, lint_paths
 from repro.lint.rules import (
@@ -514,58 +512,6 @@ class TestSuppressions:
         assert report.suppressed == 1
 
 
-# -- baselines --------------------------------------------------------------------
-
-
-class TestBaseline:
-    def test_round_trip_absorbs_grandfathered_findings(self, tmp_path):
-        root = make_tree(
-            tmp_path,
-            {
-                "src/repro/engine/x.py": (
-                    "import time\nstamp = time.time()\n"
-                )
-            },
-        )
-        first = lint_paths([root], root=root)
-        assert len(first.findings) == 1
-        baseline_path = tmp_path / "baseline.json"
-        Baseline.from_findings(first.findings).save(baseline_path)
-
-        second = lint_paths(
-            [root], root=root, baseline=Baseline.load(baseline_path)
-        )
-        assert second.findings == []
-        assert len(second.baselined) == 1
-        assert second.exit_code == 0
-
-    def test_baseline_entries_are_counted(self, tmp_path):
-        """One grandfathered occurrence absorbs exactly one finding: adding
-        a second identical violation still fails the run."""
-        root = make_tree(
-            tmp_path,
-            {
-                "src/repro/engine/x.py": (
-                    "import time\nstamp = time.time()\n"
-                )
-            },
-        )
-        baseline = Baseline.from_findings(
-            lint_paths([root], root=root).findings
-        )
-        (root / "src/repro/engine/x.py").write_text(
-            "import time\nstamp = time.time()\nagain = time.time()\n",
-            encoding="utf-8",
-        )
-        report = lint_paths([root], root=root, baseline=baseline)
-        assert len(report.baselined) == 1
-        assert len(report.findings) == 1
-        assert report.exit_code == 1
-
-    def test_missing_baseline_file_is_empty(self, tmp_path):
-        assert len(Baseline.load(tmp_path / "does-not-exist.json")) == 0
-
-
 # -- CLI --------------------------------------------------------------------------
 
 
@@ -580,7 +526,7 @@ class TestCli:
             },
         )
         exit_code = lint_main(
-            ["--format", "json", "--no-baseline", str(tmp_path / "src")]
+            ["--format", "json", str(tmp_path / "src")]
         )
         payload = json.loads(capsys.readouterr().out)
         assert exit_code == 1
@@ -595,7 +541,7 @@ class TestCli:
     def test_clean_tree_exits_zero(self, tmp_path, capsys):
         make_tree(tmp_path, {"src/repro/engine/x.py": "VALUE = 1\n"})
         exit_code = lint_main(
-            ["--format", "json", "--no-baseline", str(tmp_path / "src")]
+            ["--format", "json", str(tmp_path / "src")]
         )
         payload = json.loads(capsys.readouterr().out)
         assert exit_code == 0
@@ -623,8 +569,8 @@ class TestCli:
 
 
 def test_repository_lints_clean_without_baseline():
-    """The repo's own source passes every reprolint rule with no baseline —
-    the invariant the CI static-analysis job enforces for every change."""
+    """The repo's own source passes every reprolint rule with no
+    grandfathered findings — the invariant the CI static-analysis job enforces for every change."""
     report = lint_paths([REPO_ROOT / "src" / "repro"], root=REPO_ROOT)
     assert report.findings == [], "\n".join(
         finding.render() for finding in report.findings

@@ -254,6 +254,18 @@ def sharded_env(tmp_path_factory, small_program):
 
 
 class TestShardedExecution:
+    def test_sharded_run_without_a_store_is_refused(self, small_program):
+        """A slice with no store has nowhere to commit and nothing to merge
+        into, so returning it would pass part of a campaign off as all of
+        it; with a store the same slice runs."""
+        config = _iss_config(sample_size=4, shards=2, shard_index=0)
+        engine = CampaignEngine(small_program, config, backend_factory=IssBackend)
+        with pytest.raises(ValueError, match="needs a store"):
+            engine.run()
+        with CampaignStore(":memory:") as store:
+            results = engine.run(store=store)
+        assert sum(result.injections for result in results.values()) == 6
+
     def test_merged_equals_serial_bit_identical(self, sharded_env):
         serial_key, serial_outcomes = _outcomes(sharded_env["serial"])
         merged_key, merged_outcomes = _outcomes(sharded_env["merged"])
