@@ -34,6 +34,7 @@ same way).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -404,6 +405,12 @@ def simulation_time_comparison(
     :class:`~repro.engine.Leon3RtlBackend`) is timed against *sample_size*
     fault-free re-executions on the :class:`~repro.engine.IssBackend`.
 
+    The comparison is between simulation levels, so both sides run their
+    reference engines: the structural netlist model and the functional ISS
+    interpreter.  The fast engines are result-transparent accelerators — the
+    fast RTL engine evaluates a net only where a fault sits on it — so timing
+    them would measure the accelerators, not the levels.
+
     With *store_path* the measured comparison is memoized: repeated
     invocations return the recorded timings (of the original execution)
     without re-running either simulator.
@@ -416,6 +423,7 @@ def simulation_time_comparison(
         memo_address = memo_key(
             "simtime",
             {
+                "engines": "reference",
                 "program": program_digest(program),
                 "sample_size": sample_size,
                 "seed": seed,
@@ -435,10 +443,15 @@ def simulation_time_comparison(
         n_workers=n_workers,
         store_path=store_path,
     )
-    engine = CampaignEngine(program, config, backend_factory=Leon3RtlBackend)
+    engine = CampaignEngine(
+        program, config, backend_factory=functools.partial(Leon3RtlBackend, fast=False)
+    )
     result = engine.run_model(FaultModel.STUCK_AT_1)
     iss_seconds = reference_run_seconds(
-        program, IssBackend, runs=sample_size, max_instructions=config.max_instructions
+        program,
+        functools.partial(IssBackend, fast=False),
+        runs=sample_size,
+        max_instructions=config.max_instructions,
     )
 
     comparison = SimulationTimeComparison(

@@ -314,8 +314,8 @@ class _CheckpointRunnerBase:
         ``backend.run(max_instructions=budget, faults=[fault])``.
 
         Forks from the latest ladder rung at or before the fault's start
-        time; falls back to the plain from-reset run for sites the fast
-        engine cannot fork (RTL net sites).  The fork stops at the first
+        time; falls back to the plain from-reset run for faults the runner
+        cannot fork (see :meth:`supports`).  The fork stops at the first
         post-window state-digest match against the golden ladder and splices
         the golden tail (the early-convergence exit).
         """
@@ -593,12 +593,12 @@ class RtlCheckpointRunner(_CheckpointRunnerBase):
     :meth:`~repro.rtl.faults.TransientFault.active_at` is defined over).
     Forks restore the rung whose cycle count is at or before ``start_cycle``
     — the fault cannot have been active earlier, so the restored prefix is
-    the from-reset prefix.  Only storage-array sites fork (net sites need
-    the netlist walk and run from reset via the backend's fallback engine).
+    the from-reset prefix.  Every site forks: storage cells and nets alike
+    run natively on the fast engine.
     """
 
     def supports(self, fault: TransientFault) -> bool:
-        return self._core.native_site(fault.site)
+        return True
 
     @property
     def _core(self) -> Any:

@@ -29,12 +29,21 @@ path.  :class:`Leon3FastCore` removes that overhead while staying
 * **Sparse per-unit injection table** — :meth:`inject` compiles the active
   fault list into per-storage-array hook objects (register-file cells, cache
   tag/data/valid arrays): only accesses to a *faulted* array pay the fault
-  scan, instead of every drive of every net scanning a fault dict.  Faults on
-  combinational **nets** have no architectural shortcut — applying them
-  faithfully requires driving the net — so those runs delegate to the
-  embedded reference core (bit-identity is then trivial).  Storage cells are
-  ~95% of the site universe, so uniform site sampling keeps campaigns on the
-  fast engine almost always.
+  scan, instead of every drive of every net scanning a fault dict.
+
+* **Tapped nets** — a fault on a combinational **net** compiles into a
+  :class:`_NetFaultState` that replays :meth:`repro.rtl.netlist.Netlist.drive`
+  (width mask, ``active_at``, open-line latch of the last observed value).
+  Only what drives a faulted net pays for it: the run loop switches to a
+  tapped fetch/decode step (which drives the fetch and decode nets and
+  decodes through them, so a faulted ``iu.de.*`` net can change the
+  instruction that executes), and only the ops whose pipeline drives a
+  faulted net are specialised with a tapped handler (``_n_*``) that mirrors
+  the reference stages drive for drive, in the reference's order.  The
+  tapped ops live in a per-injection op table, never in the per-PC op cache
+  that survives :meth:`Leon3FastCore.reload`.  Nets whose driven value the
+  reference never consumes (``iu.fe.npc``, ``iu.xc.trap``,
+  ``alu.adder.cout``) compile to nothing.
 
 * **Bulk accounting** — trace statistics are kept as a per-mnemonic counter
   and folded into the :class:`~repro.iss.trace.ExecutionTrace` after the run
@@ -54,8 +63,10 @@ image), fault-free and under injected faults.
 
 from __future__ import annotations
 
+import functools
 import hashlib
-from typing import Callable, Dict, List, Optional, Set
+import weakref
+from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.isa.ccodes import (
     ConditionCodes,
@@ -65,7 +76,15 @@ from repro.isa.ccodes import (
     icc_sub,
 )
 from repro.isa.decoder import DecodeError, Instruction, decode_cached
-from repro.isa.encoding import to_s32, to_u32
+from repro.isa.encoding import (
+    OP_BRANCH_SETHI,
+    OP_CALL,
+    OP2_BICC,
+    OP2_SETHI,
+    sign_extend,
+    to_s32,
+    to_u32,
+)
 from repro.isa.instructions import INSTRUCTION_SET, InstructionCategory
 from repro.isa.registers import NUM_GLOBALS, WINDOW_REGS, RegisterWindowError
 from repro.iss.memory import PAGE_SHIFT, Memory, MemoryError_
@@ -117,23 +136,61 @@ class _ArrayFaultState:
         return value
 
 
+class _NetFaultState:
+    """Compiled faults of one combinational net (a tap).
+
+    Replicates :meth:`repro.rtl.netlist.Netlist.drive` exactly: every drive
+    masks to the net width, applies each fault active at the current cycle
+    against the value latched *before* the drive, and latches the observed
+    result (the open-line model's "previous value").
+    """
+
+    __slots__ = ("core", "mask", "faults", "latch")
+
+    def __init__(self, core: "Leon3FastCore", width: int, latch: int):
+        self.core = core
+        self.mask = (1 << width) - 1
+        self.faults: List[PermanentFault] = []
+        self.latch = latch
+
+    def drive(self, value: int) -> int:
+        mask = self.mask
+        value &= mask
+        cycle = self.core.cycle
+        previous = self.latch
+        for fault in self.faults:
+            if fault.active_at(cycle):
+                value = fault.apply(value, previous) & mask
+        self.latch = value
+        return value
+
+
 class _FastCache:
     """Direct-mapped write-through cache mirroring DirectMappedCache bit for bit.
 
     Tag/data/valid contents, hit/miss counters and refill ordering are
     identical to the reference; the netlist drives (identity in the absence
     of net faults) are elided.  Array faults attach through the optional
-    ``*_fault`` hooks.
+    ``*_fault`` hooks; with ``tapped`` set (a fault on one of the cache's
+    access-path nets) every access takes the tapped variant, which drives
+    ``<name>.addr/index/tag_in/hit/rdata`` like the reference.
     """
 
     __slots__ = (
-        "core", "lines", "words_per_line", "line_bytes", "index_shift",
-        "tag_shift", "tags", "data", "valid", "hits", "misses",
-        "tag_fault", "data_fault", "valid_fault",
+        "core", "memory", "code_pages", "lines", "words_per_line", "line_bytes",
+        "index_shift", "tag_shift", "tags", "data", "valid", "hits", "misses",
+        "tag_fault", "data_fault", "valid_fault", "tapped", "net_names",
     )
 
-    def __init__(self, core: "Leon3FastCore", lines: int, words_per_line: int):
-        self.core = core
+    def __init__(
+        self, core: "Leon3FastCore", name: str, lines: int, words_per_line: int
+    ):
+        # Weak, like Netlist's arrays: no core <-> cache cycle, so a discarded
+        # core is freed at once.  The hot paths use the core's memory image
+        # and code-page index directly (neither refers back to the core).
+        self.core = weakref.proxy(core)
+        self.memory = core.memory
+        self.code_pages = core._code_pages
         self.lines = lines
         self.words_per_line = words_per_line
         self.line_bytes = words_per_line * 4
@@ -147,6 +204,10 @@ class _FastCache:
         self.tag_fault: Optional[_ArrayFaultState] = None
         self.data_fault: Optional[_ArrayFaultState] = None
         self.valid_fault: Optional[_ArrayFaultState] = None
+        self.tapped = False
+        self.net_names = tuple(
+            f"{name}.{net}" for net in ("addr", "index", "tag_in", "hit", "rdata")
+        )
 
     def _lookup(self, index: int, tag: int) -> bool:
         # Same read order as the reference lookup: valid cell, then tag cell.
@@ -162,7 +223,7 @@ class _FastCache:
 
     def _fill(self, index: int, tag: int, aligned: int) -> None:
         line_base = aligned & ~(self.line_bytes - 1)
-        memory = self.core.memory
+        memory = self.memory
         base = index * self.words_per_line
         data = self.data
         core = self.core
@@ -175,6 +236,8 @@ class _FastCache:
         self.valid[index] = 1
 
     def read_word(self, address: int) -> int:
+        if self.tapped:
+            return self._read_word_tapped(address)
         wpl = self.words_per_line
         word_in_line = (address >> 2) & (wpl - 1)
         index = (address >> self.index_shift) & (self.lines - 1)
@@ -192,17 +255,63 @@ class _FastCache:
         return value
 
     def write_word(self, address: int, value: int) -> None:
+        if self.tapped:
+            self._write_word_tapped(address, value)
+            return
         wpl = self.words_per_line
         index = (address >> self.index_shift) & (self.lines - 1)
         tag = (address >> self.tag_shift) & 0x3FFFFF
         aligned = address & ~0x3
-        core = self.core
-        core.memory.write_word(aligned, value)
+        self.memory.write_word(aligned, value)
         page = aligned >> PAGE_SHIFT
-        if page in core._code_pages:
-            core._invalidate_code_page(page)
+        if page in self.code_pages:
+            self.core._invalidate_code_page(page)
         if self._lookup(index, tag):
             self.hits += 1
+            self.data[index * wpl + ((address >> 2) & (wpl - 1))] = value & _U32
+        else:
+            self.misses += 1
+
+    # -- tapped access path (DirectMappedCache._decompose/_lookup order) ---------
+
+    def _decompose_tapped(self, address: int) -> Tuple[int, int, int]:
+        drive = self.core._net_drive
+        addr_net, index_net, tag_net = self.net_names[:3]
+        address = drive(addr_net, address)
+        index = drive(index_net, (address >> self.index_shift) & (self.lines - 1))
+        tag = drive(tag_net, (address >> self.tag_shift) & 0x3FFFFF)
+        return address, index % self.lines, tag
+
+    def _hit_tapped(self, index: int, tag: int) -> int:
+        return self.core._net_drive(
+            self.net_names[3], 1 if self._lookup(index, tag) else 0
+        )
+
+    def _read_word_tapped(self, address: int) -> int:
+        address, index, tag = self._decompose_tapped(address)
+        if self._hit_tapped(index, tag):
+            self.hits += 1
+        else:
+            self.misses += 1
+            self._fill(index, tag, address & ~0x3)
+        wpl = self.words_per_line
+        cell = index * wpl + ((address >> 2) & (wpl - 1))
+        value = self.data[cell]
+        df = self.data_fault
+        if df is not None:
+            value = df.read(cell, value)
+        return self.core._net_drive(self.net_names[4], value)
+
+    def _write_word_tapped(self, address: int, value: int) -> None:
+        address, index, tag = self._decompose_tapped(address)
+        aligned = address & ~0x3
+        self.memory.write_word(aligned, value)
+        page = aligned >> PAGE_SHIFT
+        if page in self.code_pages:
+            self.core._invalidate_code_page(page)
+        if self._hit_tapped(index, tag):
+            self.hits += 1
+            wpl = self.words_per_line
             self.data[index * wpl + ((address >> 2) & (wpl - 1))] = value & _U32
         else:
             self.misses += 1
@@ -215,50 +324,71 @@ class _FastCache:
         self.misses = 0
 
 
+#: Decode fields an op is specialised from, as the reference decode stage
+#: produces them: ``(defn, rd, rs1, rs2, imm, annul, disp)``.  ``imm`` is the
+#: 32-bit operand value (``None`` for register operands) — for ``sethi`` the
+#: already shifted ``imm22 << 10``.
+_DecodeFields = Tuple[object, int, int, int, Optional[int], bool, int]
+
+
+def _fields_of(instruction: Instruction) -> _DecodeFields:
+    """The decode fields of a fault-free decode."""
+    defn = instruction.defn
+    imm = instruction.imm
+    if imm is not None:
+        imm = to_u32(imm << 10) if defn.mnemonic == "sethi" else to_u32(imm)
+    return (
+        defn, instruction.rd, instruction.rs1, instruction.rs2, imm,
+        instruction.annul, instruction.disp,
+    )
+
+
 class _FastOp:
     """One decoded instruction specialised for its PC.
 
-    ``word`` is the *fetched* word the specialisation was built from (cached
-    ops are revalidated against the next fetch, so stale-icache and
-    fault-corrupted fetch paths re-specialise); ``trace_instr``/``trace_defn``
-    come from the *memory image* at the same PC, matching the reference
-    core's trace convention.
+    ``word`` is the validation key: the *fetched* word the specialisation was
+    built from (cached ops are revalidated against the next fetch, so
+    stale-icache and fault-corrupted fetch paths re-specialise) — or, for
+    ops decoded through faulted decode nets, the observed decode fields.
+    ``trace_instr``/``trace_defn`` come from the *memory image* at the same
+    PC, matching the reference core's trace convention.
     """
 
     __slots__ = (
-        "word", "mnemonic", "handler", "latency", "rd", "rs1", "rs2",
+        "word", "defn", "mnemonic", "handler", "latency", "rd", "rs1", "rs2",
         "use_imm", "imm_u32", "sets_icc", "access_size", "sign_extend_load",
-        "cond", "annul", "annul_taken", "target", "value",
+        "cond", "annul", "annul_taken", "disp", "target",
         "trace_instr", "trace_defn", "trace_mnemonic",
     )
 
-    def __init__(self, instruction: Instruction, pc: int, memory: Memory):
-        defn = instruction.defn
+    def __init__(
+        self, key, fields: _DecodeFields, pc: int, memory: Memory, handler: Callable
+    ):
+        defn, rd, rs1, rs2, imm, annul, disp = fields
         mnemonic = defn.mnemonic
-        self.word = instruction.word
+        self.word = key
+        self.defn = defn
         self.mnemonic = mnemonic
-        self.handler = _HANDLER_TABLE[mnemonic]
+        self.handler = handler
         self.latency = defn.latency
-        self.rd = instruction.rd
-        self.rs1 = instruction.rs1
-        self.rs2 = instruction.rs2
-        imm = instruction.imm
+        self.rd = rd
+        self.rs1 = rs1
+        self.rs2 = rs2
         self.use_imm = imm is not None
-        self.imm_u32 = to_u32(imm) if imm is not None else None
+        self.imm_u32 = imm
         self.sets_icc = defn.sets_icc
         self.access_size = defn.access_size
         self.sign_extend_load = defn.sign_extend
+        self.disp = disp
         if defn.category is InstructionCategory.BRANCH:
             self.cond = defn.cond
-            self.annul = instruction.annul
-            self.annul_taken = instruction.annul and defn.cond == 0x8
-            self.target = to_u32(pc + instruction.disp)
+            self.annul = annul
+            self.annul_taken = annul and defn.cond == 0x8
+            self.target = to_u32(pc + disp)
         elif mnemonic == "call":
-            self.target = to_u32(pc + instruction.disp)
-        elif mnemonic == "sethi":
-            self.value = to_u32(instruction.imm << 10)
+            self.target = to_u32(pc + disp)
         elif mnemonic == "ticc":
-            self.cond = instruction.rd & 0xF
+            self.cond = rd & 0xF
         try:
             traced = decode_cached(memory.read_word(pc))
         except (DecodeError, MemoryError_):
@@ -295,12 +425,12 @@ def _h_branch(core, op):
 
 
 def _h_call(core, op):
-    core._rf_write(15, core.pc)
+    core._rf_write(op.rd, core.pc)
     return (op.target, False)
 
 
 def _h_sethi(core, op):
-    core._rf_write(op.rd, op.value)
+    core._rf_write(op.rd, op.imm_u32)
     return None
 
 
@@ -684,15 +814,366 @@ _HANDLER_TABLE: Dict[str, Callable] = {
     defn.mnemonic: _handler_for(defn) for defn in INSTRUCTION_SET
 }
 
-#: Storage arrays the fast engine injects into natively.  Every other site
-#: (a combinational net) delegates the run to the reference core.
-_NATIVE_ARRAYS = frozenset(
-    {
-        "rf.cells",
-        "icache.tags", "icache.data", "icache.valid",
-        "dcache.tags", "dcache.data", "dcache.valid",
-    }
+
+# ---------------------------------------------------------------------------
+# Tapped handlers.
+#
+# Used, per op, only when the op's pipeline drives a faulted net (see
+# _exec_nets).  Each mirrors IntegerUnit's RA -> EX -> ME -> WB stages for its
+# instruction class, driving every observed net through ``core._net_drive``
+# (identity for unfaulted nets) in the reference's order, so an open-line
+# latch sees exactly the reference's drive sequence.  Same return protocol as
+# the native handlers.
+# ---------------------------------------------------------------------------
+
+
+def _n_operands(core, op):
+    """Register-access stage: operand ports and the ``iu.ra`` latches."""
+    drive = core._net_drive
+    op1 = drive("iu.ra.op1", core._port_read(1, op.rs1))
+    op2 = op.imm_u32 if op.use_imm else core._port_read(2, op.rs2)
+    return op1, drive("iu.ra.op2", op2)
+
+
+def _n_add(drive, op1, op2, carry_in=0):
+    op1 = drive("alu.adder.op1", op1)
+    op2 = drive("alu.adder.op2", op2)
+    carry_in = drive("alu.adder.cin", carry_in)
+    result = drive("alu.adder.sum", (op1 + op2 + carry_in) & _U32)
+    return result, icc_add(op1, op2, result, carry_in=carry_in)
+
+
+def _n_sub(drive, op1, op2, borrow_in=0):
+    op1 = drive("alu.adder.op1", op1)
+    op2 = drive("alu.adder.op2", op2)
+    borrow_in = drive("alu.adder.cin", borrow_in)
+    result = drive("alu.adder.sum", (op1 - op2 - borrow_in) & _U32)
+    return result, icc_sub(op1, op2, result, borrow_in=borrow_in)
+
+
+_LOGIC_OPS: Dict[str, Callable[[int, int], int]] = {
+    "and": lambda a, b: a & b,
+    "andn": lambda a, b: a & (~b & _U32),
+    "or": lambda a, b: a | b,
+    "orn": lambda a, b: a | (~b & _U32),
+    "xor": lambda a, b: a ^ b,
+    "xnor": lambda a, b: ~(a ^ b) & _U32,
+    "mov": lambda a, b: b,
+}
+
+_SHIFT_OPS: Dict[str, Callable[[int, int], int]] = {
+    "sll": lambda value, count: (value << count) & _U32,
+    "srl": lambda value, count: value >> count,
+    "sra": lambda value, count: (to_s32(value) >> count) & _U32,
+}
+
+
+def _n_logic(drive, operation, op1, op2):
+    op1 = drive("alu.logic.op1", op1)
+    op2 = drive("alu.logic.op2", op2)
+    result = drive("alu.logic.result", _LOGIC_OPS[operation](op1, op2))
+    return result, icc_logic(result)
+
+
+def _n_branch(core, op):
+    drive = core._net_drive
+    taken = drive(
+        "iu.branch.taken", 1 if evaluate_condition(op.cond, core.icc) else 0
+    )
+    target = drive("iu.branch.target", op.target)
+    if taken:
+        return (target, op.annul_taken)
+    if op.annul:
+        core._annul_next = True
+    return None
+
+
+def _n_call(core, op):
+    drive = core._net_drive
+    pc = core.pc
+    target = drive("iu.branch.target", _n_add(drive, pc, to_u32(op.disp))[0])
+    core._writeback(op.rd, pc)
+    return (target, False)
+
+
+def _n_sethi(core, op):
+    core._writeback(op.rd, _n_logic(core._net_drive, "mov", 0, op.imm_u32)[0])
+    return None
+
+
+def _n_jmpl(core, op):
+    drive = core._net_drive
+    op1, op2 = _n_operands(core, op)
+    target = drive("iu.branch.target", _n_add(drive, op1, op2)[0])
+    if target % 4:
+        raise IuTrap("memory", f"misaligned jump target {target:#010x}")
+    core._writeback(op.rd, core.pc)
+    return (target, False)
+
+
+def _n_ticc(core, op):
+    _, trap_number = _n_operands(core, op)
+    if not evaluate_condition(op.cond, core.icc):
+        return None
+    if trap_number == 0:
+        return core._port_read(1, 8) & 0xFF
+    raise IuTrap("software_trap", str(trap_number))
+
+
+def _n_window(core, op):
+    op1, op2 = _n_operands(core, op)
+    result = _n_add(core._net_drive, op1, op2)[0]
+    nwindows = core.nwindows
+    if op.mnemonic == "save":
+        if core._saved_depth >= nwindows - 1:
+            raise RegisterWindowError("register window overflow")
+        core._saved_depth += 1
+        cwp = (core.cwp + 1) % nwindows
+    else:
+        if core._saved_depth <= 0:
+            raise RegisterWindowError("register window underflow")
+        core._saved_depth -= 1
+        cwp = (core.cwp - 1) % nwindows
+    core.cwp = core._net_drive("psr.cwp", cwp) % nwindows
+    core._writeback(op.rd, result)  # written in the *new* window
+    return None
+
+
+def _n_rd(core, op):
+    _n_operands(core, op)
+    core._writeback(op.rd, core.y)
+    return None
+
+
+def _n_wr(core, op):
+    op1, op2 = _n_operands(core, op)
+    core.y = core._net_drive("psr.y", op1 ^ op2)
+    return None
+
+
+def _n_alu(core, op):
+    op1, op2 = _n_operands(core, op)
+    drive = core._net_drive
+    base = op.defn.alu_base
+    if base == "add":
+        result, icc = _n_add(drive, op1, op2)
+    elif base == "addx":
+        result, icc = _n_add(drive, op1, op2, core.icc.c)
+    elif base == "sub":
+        result, icc = _n_sub(drive, op1, op2)
+    elif base == "subx":
+        result, icc = _n_sub(drive, op1, op2, core.icc.c)
+    elif base in _SHIFT_OPS:
+        value = drive("alu.shift.value", op1)
+        count = drive("alu.shift.count", op2 & 0x1F)
+        result = drive("alu.shift.result", _SHIFT_OPS[base](value, count))
+        icc = None
+    elif base in ("umul", "smul"):
+        op1 = drive("alu.mult.op1", op1)
+        op2 = drive("alu.mult.op2", op2)
+        product = to_s32(op1) * to_s32(op2) if base == "smul" else op1 * op2
+        result = drive("alu.mult.result_lo", product & _U32)
+        core.y = drive("psr.y", drive("alu.mult.result_hi", (product >> 32) & _U32))
+        icc = icc_logic(result)
+    elif base in ("udiv", "sdiv"):
+        dividend_lo = drive("alu.div.op1", op1)
+        divisor = drive("alu.div.op2", op2)
+        if divisor == 0:
+            raise ZeroDivisionError
+        dividend_u = (core.y << 32) | dividend_lo
+        if base == "sdiv":
+            dividend = dividend_u - (1 << 64) if dividend_u & (1 << 63) else dividend_u
+            divisor_s = to_s32(divisor)
+            quotient = abs(dividend) // abs(divisor_s)
+            if (dividend < 0) != (divisor_s < 0):
+                quotient = -quotient
+            quotient = max(min(quotient, 0x7FFFFFFF), -0x80000000)
+        else:
+            quotient = min(dividend_u // divisor, 0xFFFFFFFF)
+        result = drive("alu.div.quotient", quotient & _U32)
+        icc = icc_logic(result)
+    else:
+        result, icc = _n_logic(drive, base, op1, op2)
+    if op.sets_icc and icc is not None:
+        core.icc = ConditionCodes.from_bits(drive("psr.icc", icc.as_bits()))
+    core._writeback(op.rd, result)
+    return None
+
+
+def _n_lsu(drive, address, access_size):
+    """Memory-stage address/size latches and their traps."""
+    address = drive("iu.lsu.addr", address)
+    size = drive("iu.lsu.size", access_size)
+    if size not in (1, 2, 4, 8):
+        raise IuTrap("memory", f"corrupted access size {size}")
+    if size != 1 and address % size:
+        raise IuTrap("memory", f"misaligned access at {address:#010x}")
+    return address, size
+
+
+def _n_load(core, op):
+    drive = core._net_drive
+    op1, op2 = _n_operands(core, op)
+    address, size = _n_lsu(drive, _n_add(drive, op1, op2)[0], op.access_size)
+    if size == 8:
+        high = core.dcache.read_word(address)
+        low = core.dcache.read_word(address + 4)
+        drive("iu.lsu.rdata", low)
+        if op.access_size != 8:
+            # Only two faulted size bits widen a narrower load to a pair; the
+            # reference's single-register write-back then fails on the pair.
+            raise TypeError("doubleword result of a single-word load")
+        rd_even = op.rd & ~1
+        core._port_write(rd_even, high)
+        core._port_write(rd_even | 1, low)
+        return None
+    if address >= IO_BASE:
+        # I/O reads bypass the cache and are visible off-core.
+        value = 0
+        core.transactions.append(OffCoreTransaction(
+            "io", drive("bus.addr", address), 0, drive("bus.size", size)
+        ))
+    else:
+        value = core._dcache_load(address, size)
+    if op.sign_extend_load and size in (1, 2) and value & (1 << (size * 8 - 1)):
+        value = to_u32(value - (1 << (size * 8)))
+    core._writeback(op.rd, drive("iu.lsu.rdata", value))
+    return None
+
+
+def _n_store_word(core, address, value, size, is_io):
+    if not is_io:
+        core._dcache_store(address, value, size)
+    drive = core._net_drive
+    core.transactions.append(OffCoreTransaction(
+        "io" if is_io else "store",
+        drive("bus.addr", address),
+        drive("bus.wdata", value),
+        drive("bus.size", size),
+    ))
+
+
+def _n_store(core, op):
+    drive = core._net_drive
+    op1, op2 = _n_operands(core, op)
+    store_data = drive("iu.ra.store_data", core._port_read(2, op.rd))
+    store_data2 = (
+        core._port_read(2, (op.rd & ~1) | 1) if op.access_size == 8 else 0
+    )
+    address, size = _n_lsu(drive, _n_add(drive, op1, op2)[0], op.access_size)
+    is_io = address >= IO_BASE
+    if size == 8:
+        _n_store_word(core, address, drive("iu.lsu.wdata", store_data), 4, is_io)
+        _n_store_word(
+            core, address + 4, drive("iu.lsu.wdata", store_data2), 4, is_io
+        )
+        return None
+    if size == 1:
+        store_data &= 0xFF
+    elif size == 2:
+        store_data &= 0xFFFF
+    _n_store_word(core, address, drive("iu.lsu.wdata", store_data), size, is_io)
+    return None
+
+
+_TAPPED_SPECIAL: Dict[str, Callable] = {
+    "call": _n_call,
+    "sethi": _n_sethi,
+    "jmpl": _n_jmpl,
+    "ticc": _n_ticc,
+    "save": _n_window,
+    "restore": _n_window,
+    "rd": _n_rd,
+    "wr": _n_wr,
+}
+
+
+def _tapped_handler_for(defn) -> Callable:
+    if defn.category is InstructionCategory.BRANCH:
+        return _n_branch
+    special = _TAPPED_SPECIAL.get(defn.mnemonic)
+    if special is not None:
+        return special
+    if defn.is_memory:
+        return _n_load if defn.reads_memory else _n_store
+    if defn.alu_base in _ALU_HANDLERS:
+        return _n_alu
+    return _h_unimplemented
+
+
+_CALL_DEFN = INSTRUCTION_SET.by_mnemonic("call")
+_SETHI_DEFN = INSTRUCTION_SET.by_mnemonic("sethi")
+
+#: Tapped twin of :data:`_HANDLER_TABLE`.
+_TAPPED_TABLE: Dict[str, Callable] = {
+    defn.mnemonic: _tapped_handler_for(defn) for defn in INSTRUCTION_SET
+}
+
+#: Nets whose driven value the reference never consumes: a fault on them has
+#: no observable effect on either engine, so it compiles to nothing.
+_UNOBSERVED_NETS = frozenset({"iu.fe.npc", "iu.xc.trap", "alu.adder.cout"})
+
+#: Net values the reference's reset leaves latched: ``psr.reset`` drives the
+#: PSR nets to 0 and the ``%sp`` write drives the write port, all before the
+#: backends inject (reset-then-inject is the canonical run order).
+_RESET_LATCHES = {"rf.waddr": 14, "rf.wdata": DEFAULT_STACK_TOP}
+
+_RA_NETS = frozenset({"rf.raddr1", "rf.rdata1", "iu.ra.op1", "iu.ra.op2"})
+_PORT2_NETS = frozenset({"rf.raddr2", "rf.rdata2"})
+_WB_NETS = frozenset({"iu.wb.result", "iu.wb.rd", "rf.waddr", "rf.wdata"})
+_ADDER_NETS = frozenset(
+    {"alu.adder.op1", "alu.adder.op2", "alu.adder.cin", "alu.adder.sum"}
 )
+_LOGIC_NETS = frozenset({"alu.logic.op1", "alu.logic.op2", "alu.logic.result"})
+_LSU_NETS = frozenset({
+    "iu.lsu.addr", "iu.lsu.size", "iu.lsu.rdata", "iu.lsu.wdata",
+    "bus.addr", "bus.wdata", "bus.size",
+})
+_SHIFT_NETS = frozenset({"alu.shift.value", "alu.shift.count", "alu.shift.result"})
+_MULT_NETS = frozenset({
+    "alu.mult.op1", "alu.mult.op2", "alu.mult.result_lo", "alu.mult.result_hi",
+    "psr.y",
+})
+_DIV_NETS = frozenset({"alu.div.op1", "alu.div.op2", "alu.div.quotient"})
+#: Sub-unit nets by ``alu_base``; every other base uses the logic unit.
+_ALU_UNIT_NETS = {
+    "add": _ADDER_NETS, "addx": _ADDER_NETS, "sub": _ADDER_NETS,
+    "subx": _ADDER_NETS, "sll": _SHIFT_NETS, "srl": _SHIFT_NETS,
+    "sra": _SHIFT_NETS, "umul": _MULT_NETS, "smul": _MULT_NETS,
+    "udiv": _DIV_NETS, "sdiv": _DIV_NETS,
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _exec_nets(mnemonic: str, use_imm: bool) -> FrozenSet[str]:
+    """Nets the RA..WB stages of *mnemonic* may drive (an over-approximation
+    is safe: it only costs speed).  Fetch/decode nets are tapped in the run
+    loop and cache access-path nets inside :class:`_FastCache`."""
+    defn = INSTRUCTION_SET.by_mnemonic(mnemonic)
+    if defn.category is InstructionCategory.BRANCH:
+        return frozenset({"iu.branch.taken", "iu.branch.target"})
+    if mnemonic == "call":
+        return _ADDER_NETS | _WB_NETS | {"iu.branch.target"}
+    if mnemonic == "sethi":
+        return _LOGIC_NETS | _WB_NETS
+    nets = set(_RA_NETS)
+    if not use_imm or defn.writes_memory:
+        nets |= _PORT2_NETS
+    if mnemonic == "jmpl":
+        nets |= _ADDER_NETS | _WB_NETS | {"iu.branch.target"}
+    elif mnemonic in ("save", "restore"):
+        nets |= _ADDER_NETS | _WB_NETS | {"psr.cwp"}
+    elif mnemonic == "rd":
+        nets |= _WB_NETS
+    elif mnemonic == "wr":
+        nets.add("psr.y")
+    elif defn.is_memory:
+        nets |= _ADDER_NETS | _LSU_NETS | _WB_NETS | {"iu.ra.store_data"}
+    elif mnemonic != "ticc":
+        nets |= _ALU_UNIT_NETS.get(defn.alu_base, _LOGIC_NETS) | _WB_NETS
+        if defn.sets_icc:
+            nets.add("psr.icc")
+    return frozenset(nets)
 
 
 class _RtlRunState:
@@ -727,10 +1208,13 @@ class Leon3FastCore:
 
     Exposes the same core API the backends and campaigns use
     (``load_program`` / ``reset`` / ``reload`` / ``inject`` /
-    ``clear_faults`` / ``run`` / ``sites`` / ``netlist``).  An embedded
-    reference :class:`Leon3Core` provides the site universe, validates
-    injected faults, and executes the runs whose faults target combinational
-    nets (which only the netlist walk can apply faithfully).
+    ``clear_faults`` / ``run`` / ``sites`` / ``netlist``) and runs every
+    fault site natively: storage cells through array hooks, combinational
+    nets through taps (see the module docstring).  The embedded reference
+    :class:`Leon3Core` is never run; its netlist provides the site universe,
+    validates injected faults and keeps the canonical active-fault list.
+    Faults act from the first instruction after the reset: reset-time drives
+    are fault-free, as in the backends' reset-then-inject run order.
     """
 
     def __init__(
@@ -756,8 +1240,9 @@ class Leon3FastCore:
         self.cwp = 0
         self.icc = ConditionCodes.from_bits(0)
         self.y = 0
-        self.icache = _FastCache(self, icache_lines, words_per_line)
-        self.dcache = _FastCache(self, dcache_lines, words_per_line)
+        self._code_pages: Dict[int, Set[int]] = {}
+        self.icache = _FastCache(self, "icache", icache_lines, words_per_line)
+        self.dcache = _FastCache(self, "dcache", dcache_lines, words_per_line)
         self.transactions: List[OffCoreTransaction] = []
         self.bus_reads = 0
         self.pc = 0
@@ -767,10 +1252,15 @@ class Leon3FastCore:
         self._program = None
         self._mem_snapshot: Optional[Dict[int, bytes]] = None
         self._op_cache: Dict[int, _FastOp] = {}
-        self._code_pages: Dict[int, Set[int]] = {}
         self._rf_fault: Optional[_ArrayFaultState] = None
         self._array_states: Dict[str, _ArrayFaultState] = {}
-        self._fallback = False
+        #: Taps of the faulted nets, by net name.
+        self._nets: Dict[str, _NetFaultState] = {}
+        #: Per-injection op table of the tapped run loop; ``None`` when no
+        #: observable net is faulted (the untapped loop runs).
+        self._net_ops: Optional[Dict[int, _FastOp]] = None
+        self._decode_tapped = False
+        self._exec_taps: FrozenSet[str] = frozenset()
         #: Decode specialisations built (one per distinct PC between
         #: invalidations) — observable for tests and diagnostics.
         self.decode_fills = 0
@@ -787,11 +1277,6 @@ class Leon3FastCore:
         """The reference netlist (site validation, ``site_for``, fault lists)."""
         return self._ref.netlist
 
-    @property
-    def uses_fallback(self) -> bool:
-        """True when the active faults require the reference engine."""
-        return self._fallback
-
     # -- fault management ---------------------------------------------------------
 
     def inject(self, faults) -> None:
@@ -799,18 +1284,50 @@ class Leon3FastCore:
         # The reference netlist validates sites (unknown nets, out-of-range
         # bits/cells fail loud) and keeps the canonical active-fault list.
         self._ref.inject(fault_list)
+        netlist = self._ref.netlist
         for fault in fault_list:
             site = fault.site
-            if site.index is None or site.net not in _NATIVE_ARRAYS:
-                self._fallback = True
+            if site.index is None:
+                tap = self._nets.get(site.net)
+                if tap is None:
+                    tap = _NetFaultState(
+                        self, netlist.net(site.net).width, self._reset_latch(site.net)
+                    )
+                    self._nets[site.net] = tap
+                tap.faults.append(fault)
                 continue
             state = self._array_states.get(site.net)
             if state is None:
-                width = self._ref.netlist.array(site.net).width
-                state = _ArrayFaultState(self, width)
+                state = _ArrayFaultState(self, netlist.array(site.net).width)
                 self._array_states[site.net] = state
                 self._bind_array_state(site.net, state)
             state.by_cell.setdefault(site.index, []).append(fault)
+        self._compile_taps()
+
+    def _compile_taps(self) -> None:
+        """Arm the tapped run loop for the observable faulted nets.  A fresh
+        op table every time: which ops are tapped depends on the fault set."""
+        live = frozenset(self._nets) - _UNOBSERVED_NETS
+        self._net_ops = {} if live else None
+        self._exec_taps = live
+        self._decode_tapped = any(name.startswith("iu.de.") for name in live)
+        self.icache.tapped = any(name.startswith("icache.") for name in live)
+        self.dcache.tapped = any(name.startswith("dcache.") for name in live)
+
+    def _reset_latch(self, name: str) -> int:
+        """The value net *name* holds right after a reset (see
+        :data:`_RESET_LATCHES`); PSR nets hold the architectural state."""
+        if name == "psr.icc":
+            return self.icc.as_bits()
+        if name == "psr.cwp":
+            return self.cwp
+        if name == "psr.y":
+            return self.y
+        return _RESET_LATCHES.get(name, 0)
+
+    def _reset_taps(self) -> None:
+        for name, tap in self._nets.items():
+            tap.latch = self._reset_latch(name)
 
     def _bind_array_state(self, name: str, state: _ArrayFaultState) -> None:
         if name == "rf.cells":
@@ -831,14 +1348,14 @@ class Leon3FastCore:
         self._array_states = {}
         self.icache.tag_fault = self.icache.data_fault = self.icache.valid_fault = None
         self.dcache.tag_fault = self.dcache.data_fault = self.dcache.valid_fault = None
-        self._fallback = False
+        self._nets = {}
+        self._compile_taps()
 
     # -- program management -------------------------------------------------------
 
     def load_program(self, program) -> None:
         """Load *program* and reset; snapshots the image for fast reloads."""
         self._program = program
-        self._ref.load_program(program)
         self.memory.clear()
         self.memory.load_program(program)
         self._mem_snapshot = {
@@ -867,6 +1384,7 @@ class Leon3FastCore:
         self.pc = self._program.entry_point
         self.npc = self.pc + 4
         self._rf_write(14, DEFAULT_STACK_TOP)  # %sp, window 0
+        self._reset_taps()
 
     def reload(self) -> None:
         """Restore the memory image from the snapshot and reset.
@@ -895,8 +1413,11 @@ class Leon3FastCore:
 
     def _invalidate_code_page(self, page: int) -> None:
         cache = self._op_cache
+        net_ops = self._net_ops
         for cached_pc in self._code_pages.pop(page):
             cache.pop(cached_pc, None)
+            if net_ops is not None:
+                net_ops.pop(cached_pc, None)
 
     # -- checkpoint capture / restore ---------------------------------------------
     #
@@ -907,10 +1428,6 @@ class Leon3FastCore:
     # transient runtime (repro.engine.checkpoint) records one payload per
     # ladder rung during the golden run and restores them to fork injection
     # runs from mid-execution.
-
-    def native_site(self, site) -> bool:
-        """True when a fault at *site* runs on the fast engine (storage cell)."""
-        return site.index is not None and site.net in _NATIVE_ARRAYS
 
     def capture_state(self, state: _RtlRunState) -> dict:
         """Snapshot the paused run (architectural state, caches, dirty
@@ -1031,6 +1548,7 @@ class Leon3FastCore:
         self.transactions = list(transactions)
         for fault_state in self._array_states.values():
             fault_state.last_read = 0
+        self._reset_taps()
         state = _RtlRunState(self.detailed_trace)
         state.cycles, state.executed = payload["run"]
         self.cycle = state.cycles
@@ -1073,6 +1591,29 @@ class Leon3FastCore:
             phys = NUM_GLOBALS + cwp * WINDOW_REGS + reg - 16
         self.cells[phys] = value & _U32
 
+    # -- tapped register-file ports (RegisterFileRtl's drive order) ---------------
+
+    def _net_drive(self, name: str, value: int) -> int:
+        """Drive net *name*: the observed value (identity when unfaulted)."""
+        tap = self._nets.get(name)
+        return value if tap is None else tap.drive(value)
+
+    def _port_read(self, port: int, reg: int) -> int:
+        drive = self._net_drive
+        if port == 1:
+            return drive("rf.rdata1", self._rf_read(drive("rf.raddr1", reg)))
+        return drive("rf.rdata2", self._rf_read(drive("rf.raddr2", reg)))
+
+    def _port_write(self, reg: int, value: int) -> None:
+        drive = self._net_drive
+        reg = drive("rf.waddr", reg)
+        self._rf_write(reg, drive("rf.wdata", value))
+
+    def _writeback(self, rd: int, value: int) -> None:
+        """Write-back stage: the ``iu.wb`` latches, then the write port."""
+        value = self._net_drive("iu.wb.result", value)
+        self._port_write(self._net_drive("iu.wb.rd", rd), value)
+
     # -- data cache ---------------------------------------------------------------
 
     def _dcache_load(self, address: int, size: int) -> int:
@@ -1109,10 +1650,84 @@ class Leon3FastCore:
             instruction = decode_cached(word)
         except DecodeError as exc:
             raise IuTrap("illegal_instruction", str(exc)) from exc
-        op = _FastOp(instruction, pc, self.memory)
+        op = _FastOp(
+            word, _fields_of(instruction), pc, self.memory,
+            _HANDLER_TABLE[instruction.defn.mnemonic],
+        )
         self._op_cache[pc] = op
         self._code_pages.setdefault(pc >> PAGE_SHIFT, set()).add(pc)
         self.decode_fills += 1
+        return op
+
+    # -- tapped fetch/decode (IntegerUnit's FE and DE stages) ---------------------
+
+    def _fetch_decode_tapped(self, pc: int) -> _FastOp:
+        """Fetch and decode through the fetch/decode nets; returns the op
+        from the per-injection table, specialised with tapped handlers
+        wherever its pipeline drives a faulted net."""
+        drive = self._net_drive
+        fetch_pc = drive("iu.fe.pc", pc)
+        if fetch_pc % 4:
+            raise IuTrap("memory", f"misaligned fetch at {fetch_pc:#010x}")
+        word = drive("iu.fe.inst", self.icache.read_word(fetch_pc))
+        key = self._decode_fields(word) if self._decode_tapped else word
+        op = self._net_ops.get(pc)
+        if op is None or op.word != key:
+            op = self._build_tapped_op(pc, key)
+        return op
+
+    def _decode_fields(self, word: int) -> _DecodeFields:
+        """The reference decode stage, driving every ``iu.de`` net."""
+        drive = self._net_drive
+        word = drive("iu.de.inst", word)
+        op = drive("iu.de.op", word >> 30)
+        if op == OP_CALL:
+            rd = drive("iu.de.rd", 15)
+            return (_CALL_DEFN, rd, 0, 0, None, False, sign_extend(word, 30) * 4)
+        if op == OP_BRANCH_SETHI:
+            op2 = (word >> 22) & 0x7
+            if op2 == OP2_SETHI:
+                rd = drive("iu.de.rd", (word >> 25) & 0x1F)
+                imm = drive("iu.de.imm", (word & 0x3FFFFF) << 10)
+                return (_SETHI_DEFN, rd, 0, 0, imm, False, 0)
+            if op2 == OP2_BICC:
+                cond = drive("iu.de.cond", (word >> 25) & 0xF)
+                try:
+                    defn = INSTRUCTION_SET.by_condition(cond)
+                except KeyError as exc:
+                    raise IuTrap("illegal_instruction", "bad condition") from exc
+                annul = bool((word >> 29) & 1)
+                return (defn, 0, 0, 0, None, annul, sign_extend(word, 22) * 4)
+            raise IuTrap("illegal_instruction", f"op2={op2}")
+        op3 = drive("iu.de.op3", (word >> 19) & 0x3F)
+        defn = INSTRUCTION_SET.by_op_op3(op, op3)
+        if defn is None:
+            raise IuTrap("illegal_instruction", f"op={op} op3={op3:#x}")
+        use_imm = drive("iu.de.use_imm", (word >> 13) & 1)
+        rd = drive("iu.de.rd", (word >> 25) & 0x1F)
+        rs1 = drive("iu.de.rs1", (word >> 14) & 0x1F)
+        if use_imm:
+            imm = drive("iu.de.imm", to_u32(sign_extend(word, 13)))
+            return (defn, rd, rs1, 0, imm, False, 0)
+        return (defn, rd, rs1, drive("iu.de.rs2", word & 0x1F), None, False, 0)
+
+    def _build_tapped_op(self, pc: int, key) -> _FastOp:
+        if self._decode_tapped:
+            fields = key
+        else:
+            try:
+                fields = _fields_of(decode_cached(key))
+            except DecodeError as exc:
+                raise IuTrap("illegal_instruction", str(exc)) from exc
+        defn = fields[0]
+        mnemonic = defn.mnemonic
+        if _exec_nets(mnemonic, fields[4] is not None) & self._exec_taps:
+            handler = _TAPPED_TABLE[mnemonic]
+        else:
+            handler = _HANDLER_TABLE[mnemonic]
+        op = _FastOp(key, fields, pc, self.memory, handler)
+        self._net_ops[pc] = op
+        self._code_pages.setdefault(pc >> PAGE_SHIFT, set()).add(pc)
         return op
 
     # -- execution ----------------------------------------------------------------
@@ -1120,24 +1735,8 @@ class Leon3FastCore:
     def run(self, max_instructions: int = 200_000) -> RtlExecutionResult:
         """Run until the program exits (``ta 0``), traps or exhausts the budget.
 
-        Delegates to the embedded reference core when the active faults
-        include net sites (see the module docstring); otherwise executes the
-        flattened fast engine.
+        Executes the flattened fast engine, tapped where nets are faulted.
         """
-        if self._program is None:
-            raise RuntimeError("no program loaded")
-        if self._fallback:
-            # Net faults need the netlist walk.  Replay the canonical
-            # backend order on the reference core — reset *then* inject — so
-            # the reset-time state writes (%sp, PSR) are driven fault-free,
-            # exactly as they are when the reference core is used directly.
-            ref = self._ref
-            active = ref.netlist.active_faults()
-            ref.clear_faults()
-            ref.reload()
-            ref.inject(active)
-            return ref.run(max_instructions=max_instructions)
-
         state = self.begin_run()
         self.run_segment(state, max_instructions)
         return self.finish_run(state)
@@ -1151,11 +1750,6 @@ class Leon3FastCore:
         """
         if self._program is None:
             raise RuntimeError("no program loaded")
-        if self._fallback:
-            raise RuntimeError(
-                "segmented runs require storage-array faults only "
-                "(net faults delegate to the reference core)"
-            )
         return _RtlRunState(self.detailed_trace)
 
     def run_segment(self, state: _RtlRunState, budget: int) -> None:
@@ -1201,6 +1795,9 @@ class Leon3FastCore:
         ic_lines_mask = icache.lines - 1
         ic_wpl = icache.words_per_line
         ic_wpl_mask = ic_wpl - 1
+        # Tapped fetch/decode step, armed only while an observable net is
+        # faulted (see _compile_taps).
+        tapped = self._fetch_decode_tapped if self._net_ops is not None else None
 
         while executed < budget:
             self.cycle = cycles
@@ -1213,22 +1810,25 @@ class Leon3FastCore:
                 continue
             pc = self.pc
             try:
-                if pc & 3:
-                    raise IuTrap("memory", f"misaligned fetch at {pc:#010x}")
-                if ic_plain:
-                    index = (pc >> ic_index_shift) & ic_lines_mask
-                    tag = (pc >> ic_tag_shift) & 0x3FFFFF
-                    if ic_valid[index] and ic_tags[index] == tag:
-                        icache.hits += 1
-                    else:
-                        icache.misses += 1
-                        icache._fill(index, tag, pc & ~0x3)
-                    word = ic_data[index * ic_wpl + ((pc >> 2) & ic_wpl_mask)]
+                if tapped is not None:
+                    op = tapped(pc)
                 else:
-                    word = icache.read_word(pc)
-                op = op_cache_get(pc)
-                if op is None or op.word != word:
-                    op = self._build_op(pc, word)
+                    if pc & 3:
+                        raise IuTrap("memory", f"misaligned fetch at {pc:#010x}")
+                    if ic_plain:
+                        index = (pc >> ic_index_shift) & ic_lines_mask
+                        tag = (pc >> ic_tag_shift) & 0x3FFFFF
+                        if ic_valid[index] and ic_tags[index] == tag:
+                            icache.hits += 1
+                        else:
+                            icache.misses += 1
+                            icache._fill(index, tag, pc & ~0x3)
+                        word = ic_data[index * ic_wpl + ((pc >> 2) & ic_wpl_mask)]
+                    else:
+                        word = icache.read_word(pc)
+                    op = op_cache_get(pc)
+                    if op is None or op.word != word:
+                        op = self._build_op(pc, word)
                 outcome = op.handler(self, op)
             except IuTrap as trap:
                 trap_kind = trap.kind
@@ -1341,8 +1941,6 @@ def _cache_state(cache) -> dict:
 def _core_state(core) -> dict:
     """Final architectural state of either core flavour, for comparison."""
     if isinstance(core, Leon3FastCore):
-        if core._fallback:
-            return _core_state(core._ref)
         return {
             "cells": list(core.cells),
             "saved_depth": core._saved_depth,

@@ -15,6 +15,7 @@ attached to the addressed cell.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -73,7 +74,9 @@ class Netlist:
         if name in self._arrays:
             raise NetlistError(f"array {name!r} already declared")
         array = StorageArray(name=name, width=width, cells=cells, unit=unit)
-        array.clock = self
+        # A weak back-reference: no netlist <-> array cycle, so a discarded
+        # core is freed by reference counting, not a later cyclic collection.
+        array.clock = weakref.proxy(self)
         self._arrays[name] = array
         self.universe.add_array(name, width, cells, unit)
         return array

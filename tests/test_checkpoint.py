@@ -141,7 +141,7 @@ class TestLadder:
         backend.prepare(build_program("intbench"))
         assert make_checkpoint_runner(backend, MAX_INSTRUCTIONS) is None
 
-    def test_rtl_net_site_falls_back_to_from_reset(self):
+    def test_rtl_net_site_forks_from_the_ladder(self):
         program = build_program("intbench")
         backend = Leon3RtlBackend()
         backend.prepare(program)
@@ -153,8 +153,35 @@ class TestLadder:
         reference = backend.run(max_instructions=budget, faults=[fault])
         forked = runner.run_transient(fault, budget)
         assert_run_results_identical(reference, forked)
-        assert runner.from_reset_runs == 1
-        assert runner.forks == 0
+        assert runner.from_reset_runs == 0
+        assert runner.forks == 1
+
+
+@pytest.mark.parametrize("net, bit", [
+    ("iu.fe.inst", 19),  # fetch: the decoded op changes
+    ("alu.adder.sum", 2),  # ALU datapath
+    ("psr.icc", 2),  # latched state
+])
+def test_rtl_net_transient_fork_bit_identity(net, bit):
+    """Net transients fork from the ladder and match from-reset runs."""
+    program = build_program("rspeed")
+    backend = Leon3RtlBackend()
+    backend.prepare(program)
+    golden = backend.run(max_instructions=MAX_INSTRUCTIONS)
+    budget = watchdog_budget(golden.instructions)
+    runner = backend.checkpoint_runner(MAX_INSTRUCTIONS)
+    site = backend.core.netlist.site_for(net, bit)
+    rng = random.Random(net)
+    windows = [(0, 1)] + [
+        (rng.randrange(golden.cycles), duration) for duration in (1, 4, 1, 60)
+    ]
+    for start, duration in windows:
+        fault = TransientFault(site, start_cycle=start, duration=duration)
+        reference = backend.run(max_instructions=budget, faults=[fault])
+        forked = runner.run_transient(fault, budget)
+        assert_run_results_identical(reference, forked)
+    assert runner.forks == len(windows)
+    assert runner.from_reset_runs == 0
 
 
 class TestTransientPlanning:

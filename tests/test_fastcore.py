@@ -4,12 +4,14 @@ The fast cycle engine's whole value proposition is that it is *not* a second
 implementation of the structural model from the campaign's point of view:
 every observable must match the reference core bit for bit.  These tests
 enforce that contract across the workload registry, fault-free and under
-injected faults (storage-array sites on the fast engine, net sites through
-the reference fallback), plus the specialisation-cache invalidation rules,
+injected faults (storage-array sites and net sites, both native; the
+exhaustive per-net sweep lives in ``test_native_nets.py``), plus the
+specialisation-cache invalidation rules,
 the backend/config/store plumbing of the ``fast`` flag, and the
 result-transparency fix the contract depends on.
 """
 
+import contextlib
 import functools
 
 import pytest
@@ -37,14 +39,14 @@ def _sampled_faults():
     universe = Leon3Core().sites
     sites = universe.sample(6, units=["iu"], seed=5)
     sites += universe.sample(6, units=["cmem"], seed=7)
-    # Handpicked sites covering every native array and both fallback paths.
+    # Handpicked sites covering every array and two tapped nets.
     sites += [
         FaultSite(net="rf.cells", bit=3, unit="iu.regfile", index=38),  # %sp cell
         FaultSite(net="icache.data", bit=13, unit="cmem.icache", index=17),
         FaultSite(net="icache.tags", bit=2, unit="cmem.icache", index=1),
         FaultSite(net="dcache.valid", bit=0, unit="cmem.dcache", index=4),
-        FaultSite(net="psr.icc", bit=2, unit="iu.psr"),  # net -> fallback
-        FaultSite(net="alu.adder.sum", bit=0, unit="iu.alu.adder"),  # net -> fallback
+        FaultSite(net="psr.icc", bit=2, unit="iu.psr"),  # latched state net
+        FaultSite(net="alu.adder.sum", bit=0, unit="iu.alu.adder"),  # datapath net
     ]
     pairs = []
     for index, site in enumerate(sites):
@@ -248,24 +250,37 @@ out:
         assert first.cycles == second.cycles
 
 
+@contextlib.contextmanager
+def _reference_runs_forbidden():
+    """Fail the test if anything runs the reference core meanwhile."""
+
+    def run(self, max_instructions=200_000):
+        raise AssertionError("the fast core ran the reference core")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Leon3Core, "run", run)
+        yield
+
+
 class TestFaultCompilation:
     def test_array_faults_run_on_the_fast_engine(self):
         core = Leon3FastCore()
         core.load_program(build_program("intbench"))
         site = core.netlist.site_for("rf.cells", 5, index=20)
         core.inject([PermanentFault(site=site, model=FaultModel.STUCK_AT_1)])
-        assert not core.uses_fallback
         assert core._rf_fault is not None
+        assert core._net_ops is None  # the untapped run loop
 
-    def test_net_faults_delegate_to_the_reference(self):
+    def test_net_faults_run_natively(self):
         core = Leon3FastCore()
         program = build_program("intbench")
         core.load_program(program)
         site = core.netlist.site_for("alu.adder.sum", 1)
         fault = PermanentFault(site=site, model=FaultModel.STUCK_AT_1)
         core.inject([fault])
-        assert core.uses_fallback
-        fast = core.run(max_instructions=8_000)
+
+        with _reference_runs_forbidden():
+            fast = core.run(max_instructions=8_000)
 
         reference_core = Leon3Core()
         reference_core.load_program(program)
@@ -275,15 +290,25 @@ class TestFaultCompilation:
 
     def test_clear_faults_restores_the_fast_engine(self):
         core = Leon3FastCore()
-        core.load_program(build_program("intbench"))
+        program = build_program("intbench")
+        core.load_program(program)
         core.inject([PermanentFault(
             site=core.netlist.site_for("alu.adder.sum", 1),
             model=FaultModel.STUCK_AT_1,
         )])
-        assert core.uses_fallback
+        assert core._net_ops is not None
+        core.run(max_instructions=8_000)
         core.clear_faults()
-        assert not core.uses_fallback
+        core.reload()
+        assert core._net_ops is None
         assert core.netlist.active_faults() == []
+
+        with _reference_runs_forbidden():
+            fast = core.run(max_instructions=8_000)
+        reference_core = Leon3Core()
+        reference_core.load_program(program)
+        reference = reference_core.run(max_instructions=8_000)
+        assert_rtl_results_identical(reference_core, reference, core, fast)
 
     def test_invalid_sites_fail_loud(self):
         from repro.rtl.netlist import NetlistError
