@@ -136,8 +136,8 @@ def run_gated_benchmark(
     *tolerance* (default :data:`REGRESSION_TOLERANCE`), never below
     *speedup_floor* when one is given.  A tighter explicit *tolerance* is how
     CI gates near-zero overhead claims — e.g. ``--tolerance 0.02`` on the
-    lockstep bench bounds the disabled-telemetry cost of the instrumented
-    hot loops at 2%.  Baselines whose committed speedup is ``null`` (e.g.
+    transient bench bounds the disabled-telemetry cost of the instrumented
+    checkpoint hot path at 2%.  Baselines whose committed speedup is ``null`` (e.g.
     the campaign bench on a single-CPU recorder) skip the ratio comparison.
 
     Returns a process exit code; unless ``no_write`` is set, the measured

@@ -11,14 +11,13 @@ archaeology:
     python benchmarks/gen_perf_history.py            # rewrite docs/perf_history.md
     python benchmarks/gen_perf_history.py --stdout   # print instead
 
-Beyond raw throughput, the histories also carry the *dynamics* that explain
-it — how many lockstep replicas were demoted (and how many of those were
-spliced mid-pack), how often the checkpointed runtime took the
+Beyond raw throughput, the transient history also carries the *dynamics*
+that explain it — how often the checkpointed runtime took the
 early-convergence exit — so the generator renders a campaign-dynamics table
-per trajectory too.  Pass ``--manifest run-manifest.json`` (the output of
+for it too.  Pass ``--manifest run-manifest.json`` (the output of
 ``repro campaign metrics --json``, see :mod:`repro.obs`) to additionally
-fold one stored run manifest's headline metrics (cache-hit ratio, demotion
-reasons, splice rate) into the page.
+fold one stored run manifest's headline metrics (cache-hit ratio, splice
+rate) into the page.
 
 Speedup ratios are machine-portable; the absolute rates carry the recording
 machine's ``cpu_count``/``python`` stamp and are context only.
@@ -53,10 +52,6 @@ LAYERS = (
      "injections/s", "from reset", "checkpointed",
      lambda r: r["aggregate"]["from_reset_injections_per_second"],
      lambda r: r["aggregate"]["checkpointed_injections_per_second"]),
-    ("Lockstep packs", "BENCH_lockstep_throughput.json",
-     "injections/s", "scalar checkpointed", "lockstep",
-     lambda r: r["aggregate"]["scalar_injections_per_second"],
-     lambda r: r["aggregate"]["lockstep_injections_per_second"]),
     ("Campaign engine", "BENCH_campaign_throughput.json",
      "injections/s", "serial", "parallel",
      lambda r: r["serial"]["injections_per_second"],
@@ -75,40 +70,12 @@ def _sum(rows, field) -> int:
 def _dynamics_sections() -> list:
     """Campaign-dynamics tables derived from the committed histories.
 
-    The lockstep and transient baselines already record *why* each run was
-    fast (demotions, splices, convergences, riders, early exits) next to how
-    fast it was; rendered as rates they form the trend that matters for the
-    paper's correlation argument — a rising demotion rate erodes the pack
-    speedup long before the throughput gate trips.
+    The transient baseline records *why* each run was fast (early exits)
+    next to how fast it was; rendered as a rate it forms the trend behind
+    the checkpoint speedup — a falling splice rate erodes it long before
+    the throughput gate trips.
     """
     lines = ["## Campaign dynamics", ""]
-    lockstep = REPO_ROOT / "BENCH_lockstep_throughput.json"
-    if lockstep.exists():
-        lines += [
-            "Lockstep replica resolution per recorded run (fractions of all",
-            "injections; *spliced* is the share of demotions that had to",
-            "replay from the divergence point rather than ride to the end):",
-            "",
-            "| recorded at (UTC) | injections | demoted | spliced "
-            "| converged in pack | rode golden |",
-            "|---|---|---|---|---|---|",
-        ]
-        for record in load_history(lockstep)["history"]:
-            rows = record.get("per_workload", [])
-            injections = _sum(rows, "injections")
-            demotions = _sum(rows, "demotions")
-            lines.append(
-                "| {when} | {inj} | {demoted} | {spliced} | {conv} | {rider} |"
-                .format(
-                    when=record.get("recorded_at", "—"),
-                    inj=_cell(injections),
-                    demoted=_ratio(demotions, injections),
-                    spliced=_ratio(_sum(rows, "demoted_splices"), demotions),
-                    conv=_ratio(_sum(rows, "in_pack_convergences"), injections),
-                    rider=_ratio(_sum(rows, "golden_riders"), injections),
-                )
-            )
-        lines.append("")
     transient = REPO_ROOT / "BENCH_transient_throughput.json"
     if transient.exists():
         lines += [
@@ -135,8 +102,8 @@ def _dynamics_sections() -> list:
 
 def _manifest_section(path: Path) -> list:
     """Headline metrics of one stored run manifest (``repro campaign
-    metrics --json`` output): cache-hit ratio, demotion reasons, splice
-    rate — the same derivations the CLI's human view prints."""
+    metrics --json`` output): cache-hit ratio and splice rate — the same
+    derivations the CLI's human view prints."""
     import json
 
     manifest = json.loads(path.read_text())
@@ -154,13 +121,6 @@ def _manifest_section(path: Path) -> list:
     hits = counters.get("store.cache_hits", 0)
     misses = counters.get("store.cache_misses", 0)
     lines.append(f"| cache-hit ratio | {_ratio(hits, hits + misses)} |")
-    replicas = counters.get("lockstep.replicas", 0)
-    demotions = sum(
-        value for series, value in counters.items()
-        if series.startswith("lockstep.demotions{")
-    )
-    if replicas:
-        lines.append(f"| lockstep demotion rate | {_ratio(demotions, replicas)} |")
     forks = counters.get("checkpoint.forks", 0)
     if forks:
         lines.append(

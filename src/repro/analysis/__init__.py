@@ -9,8 +9,8 @@ with no third-party dependencies:
   :func:`r_squared` for goodness of fit.
 * :mod:`repro.analysis.stats` — summary statistics for campaign estimates:
   :func:`mean`, :func:`sample_standard_deviation` and
-  :func:`proportion_confidence_interval` (the normal-approximation interval
-  used to bound sampled failure probabilities).
+  :func:`proportion_confidence_interval` (the Wilson score interval used to
+  bound sampled failure probabilities).
 
 Higher layers (:mod:`repro.core.correlation`, report rendering) import from
 this package; nothing here depends on the simulators.

@@ -26,14 +26,23 @@ def sample_standard_deviation(values: Sequence[float]) -> float:
 def proportion_confidence_interval(
     successes: int, trials: int, z: float = 1.96
 ) -> Tuple[float, float]:
-    """Normal-approximation confidence interval for a proportion.
+    """Wilson score confidence interval for a proportion.
 
     Used to attach error bars to sampled failure probabilities: the paper's
     campaigns are exhaustive, ours sample fault sites, so the interval
-    quantifies the sampling error of the reproduction.
+    quantifies the sampling error of the reproduction.  Unlike the
+    normal-approximation (Wald) interval, Wilson keeps close to nominal
+    coverage at small counts and never collapses to a zero-width interval:
+    zero failures in *trials* injections still bound ``Pf`` above 0.
     """
     if trials <= 0:
         return (0.0, 0.0)
     p = successes / trials
-    half_width = z * math.sqrt(p * (1.0 - p) / trials)
-    return (max(0.0, p - half_width), min(1.0, p + half_width))
+    z2 = z * z
+    denominator = 1.0 + z2 / trials
+    center = (p + z2 / (2 * trials)) / denominator
+    half_width = (
+        z / denominator
+        * math.sqrt(p * (1.0 - p) / trials + z2 / (4 * trials * trials))
+    )
+    return (max(0.0, center - half_width), min(1.0, center + half_width))

@@ -13,10 +13,6 @@ experiments run:
 * :mod:`repro.engine.checkpoint` — the checkpointed transient-fault runtime:
   golden snapshot ladders, fork-from-checkpoint injection and the
   early-convergence exit (bit-identical to from-reset execution).
-* :mod:`repro.engine.lockstep` — the lockstep pack runtime: N faulty
-  replicas of one workload execute through a single shared fetch/decode
-  front end as sparse deltas against a golden-replay leader, demoting to the
-  scalar path on divergence (bit-identical to scalar execution).
 * :mod:`repro.engine.sharding` — deterministic campaign sharding: one plan
   split into N disjoint slices that execute against independent store files
   and merge back bit-identically (``repro store merge``).
@@ -45,11 +41,6 @@ from repro.engine.checkpoint import (
     Checkpoint,
     CheckpointLadder,
     make_checkpoint_runner,
-)
-from repro.engine.lockstep import (
-    LockstepPackRunner,
-    PackOutcome,
-    make_pack_runner,
 )
 from repro.engine.jobs import (
     CampaignPlan,
@@ -92,9 +83,6 @@ __all__ = [
     "Checkpoint",
     "CheckpointLadder",
     "make_checkpoint_runner",
-    "LockstepPackRunner",
-    "PackOutcome",
-    "make_pack_runner",
     "MultiprocessingScheduler",
     "SerialScheduler",
     "make_scheduler",

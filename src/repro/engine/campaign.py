@@ -122,11 +122,6 @@ class CampaignConfig:
     #: Window length of planned transient faults, in backend-native time
     #: units (RTL cycles; on the ISS the upset fires once at window start).
     transient_duration: int = 1
-    #: Rung spacing of the golden checkpoint ladder, in instructions.
-    #: ``None`` selects the adaptive ladder (spacing scales with the golden
-    #: run).  Result-transparent — forks are bit-identical to from-reset
-    #: execution — so deliberately not part of the campaign store key.
-    checkpoint_interval: Optional[int] = None
     #: Campaign telemetry: collect structured metrics (counters, histograms,
     #: span timings — see :mod:`repro.obs`) for this run and, on the durable
     #: path, persist them as the campaign's run manifest.  Result-transparent
@@ -139,14 +134,6 @@ class CampaignConfig:
     #: ``repro trace export --chrome`` merges them into a Perfetto-loadable
     #: timeline.  Result-transparent, not part of the store key.
     trace_path: Optional[str] = None
-    #: Lockstep pack width: how many faulty replicas execute together
-    #: through one shared fetch/decode front end (the pack runtime of
-    #: :mod:`repro.engine.lockstep`).  1 (the default) is the scalar path;
-    #: widths > 1 take effect on the fast ISS backend and fall back to
-    #: scalar execution elsewhere.  Result-transparent — pack outcomes are
-    #: bit-identical to scalar runs (enforced by ``tests/test_lockstep.py``)
-    #: — so deliberately not part of the campaign store key.
-    lockstep_width: int = 1
     #: Shard count of a sharded campaign (see :mod:`repro.engine.sharding`):
     #: the canonical plan is split into this many disjoint contiguous slices
     #: and this run executes only slice ``shard_index``, committing outcomes
@@ -202,15 +189,6 @@ class CampaignConfig:
         if self.transient_duration < 1:
             raise ValueError(
                 f"transient_duration must be >= 1, got {self.transient_duration}"
-            )
-        if self.checkpoint_interval is not None and self.checkpoint_interval < 1:
-            raise ValueError(
-                f"checkpoint_interval must be >= 1 or None (adaptive), "
-                f"got {self.checkpoint_interval}"
-            )
-        if self.lockstep_width < 1:
-            raise ValueError(
-                f"lockstep_width must be >= 1, got {self.lockstep_width}"
             )
         if self.shards < 1:
             raise ValueError(f"shards must be >= 1, got {self.shards}")
@@ -291,11 +269,7 @@ class CampaignEngine:
             config = self.config
             runner = None
             if config.transient:
-                runner = make_checkpoint_runner(
-                    self.backend,
-                    config.max_instructions,
-                    config.checkpoint_interval,
-                )
+                runner = make_checkpoint_runner(self.backend, config.max_instructions)
                 if runner is not None:
                     self._runner = runner
             with TELEMETRY.span("golden"):
@@ -306,7 +280,6 @@ class CampaignEngine:
                     runner,
                     self._artifact_store_path,
                     self._artifact_key,
-                    config.lockstep_width,
                 )
             if not golden.normal_exit:
                 raise RuntimeError(
@@ -419,9 +392,7 @@ class CampaignEngine:
             max_instructions=self.config.max_instructions,
             backend=self.backend,
             golden=golden,
-            checkpoint_interval=self.config.checkpoint_interval,
             runner=self._runner,
-            lockstep_width=self.config.lockstep_width,
             artifact_store_path=self._artifact_store_path,
             artifact_key=self._artifact_key,
         )
@@ -430,10 +401,10 @@ class CampaignEngine:
         """The content address of this campaign's golden artifact.
 
         Derived from exactly what decides the recording's bytes: workload,
-        backend identity, instruction ceiling, rung spacing, and the artifact
-        kind — ``"ladder"`` when the golden run is a checkpoint-ladder
-        recording (transient campaign on a snapshot-capable backend),
-        ``"golden"`` for a plain reference run.  Every campaign whose golden
+        backend identity, instruction ceiling, and the artifact kind —
+        ``"ladder"`` when the golden run is a checkpoint-ladder recording
+        (transient campaign on a snapshot-capable backend), ``"golden"`` for
+        a plain reference run.  Every campaign whose golden
         would be byte-identical shares the address; any input that changes
         the recording changes it.
         """
@@ -452,7 +423,6 @@ class CampaignEngine:
             program=self.program,
             backend_id=backend_identity(self.backend.name, self.backend_factory),
             max_instructions=config.max_instructions,
-            checkpoint_interval=config.checkpoint_interval,
         )
 
     def store_key(self) -> str:
@@ -777,9 +747,7 @@ class CampaignEngine:
                     max_instructions=config.max_instructions,
                     backend=self.backend,
                     golden=self.golden_run(),
-                    checkpoint_interval=config.checkpoint_interval,
                     runner=self._runner,
-                    lockstep_width=config.lockstep_width,
                     artifact_store_path=self._artifact_store_path,
                     artifact_key=self._artifact_key,
                 )
@@ -828,8 +796,6 @@ class CampaignEngine:
                 "scheduler": config.scheduler,
                 "n_workers": config.n_workers,
                 "chunk_size": config.chunk_size,
-                "lockstep_width": config.lockstep_width,
-                "checkpoint_interval": config.checkpoint_interval,
                 "transient_windows": config.transient_windows,
                 "shards": config.shards,
                 "shard_index": config.shard_index,
@@ -868,7 +834,7 @@ class CampaignEngine:
         execution), plus an even share of this run's overhead (golden run,
         planning, scheduling) not attributable to any one job.  Both sides
         of the subtraction read the span clock (the run's ``campaign.run``
-        span and the per-job ``engine.job``/``lockstep.pack`` spans), so
+        span and the per-job ``engine.job`` spans), so
         overhead can never go negative from mixing timers."""
         elapsed = span.elapsed()
         job_seconds = sum(record.seconds for record in fresh_records)

@@ -12,10 +12,10 @@ by ``benchmarks/bench_transient_throughput.py`` before any number is
 reported):
 
 * **Golden snapshot ladder** — the golden run executes once, in
-  ``checkpoint_interval``-instruction segments, capturing a full mid-run
-  snapshot (architectural state + dirty memory pages + a state digest +
-  prefix offsets into the golden observable streams) at every segment
-  boundary: one :class:`Checkpoint` per rung, collected into a
+  instruction segments (adaptive spacing, see :data:`MAX_RUNGS`), capturing
+  a full mid-run snapshot (architectural state + dirty memory pages + a
+  state digest + prefix offsets into the golden observable streams) at
+  every segment boundary: one :class:`Checkpoint` per rung, collected into a
   :class:`CheckpointLadder`.
 
 * **Fork-from-checkpoint** — an injection run for a transient starting at
@@ -40,7 +40,7 @@ longer have to be *rebuilt* per worker either: the runners round-trip
 through the store's golden-artifact cache (``to_artifact()`` /
 ``from_artifact()``, serialized by :mod:`repro.store.artifacts` and keyed by
 :func:`repro.store.keys.artifact_key`), so a worker, shard, or repeated
-campaign whose (workload, backend, budget, interval) matches a stored
+campaign whose (workload, backend, budget) matches a stored
 recording loads the ladder instead of re-executing the golden run.  Loading
 is gated on bit-identity: every deserialized rung is restored into the live
 engine and its recomputed ``state_digest`` must equal the stored one before
@@ -54,7 +54,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.isa.instructions import INSTRUCTION_SET
 from repro.iss.fastpath import FastEmulator
@@ -62,10 +62,7 @@ from repro.iss.memory import Memory
 from repro.iss.trace import ExecutionTrace
 from repro.rtl.faults import TransientFault
 
-from repro.engine.backend import ARCH_REGFILE_NET, RunResult
-
-if TYPE_CHECKING:
-    from repro.engine.lockstep import LockstepPackRunner
+from repro.engine.backend import RunResult
 from repro.obs.telemetry import TELEMETRY
 
 #: Starting rung spacing of the adaptive ladder (instructions).  Small enough
@@ -172,10 +169,7 @@ def splice_golden_tail(
     The digest match proves the remaining execution replays the golden tail
     exactly, so the finished run is the fork's transactions plus the golden
     transactions after the rung, the fork's counts plus the golden tail
-    counts, and the golden run's terminal facts.  Shared by
-    :class:`IssCheckpointRunner` and the lockstep pack runtime
-    (:mod:`repro.engine.lockstep`), whose demoted replicas re-converge
-    through the same rung-aligned digest gate.  Mutates *transactions* and
+    counts, and the golden run's terminal facts.  Mutates *transactions* and
     *counts* in place (callers hand over ownership).
     """
     golden = ladder.golden
@@ -237,8 +231,6 @@ class _CheckpointRunnerBase:
         self.forks = 0
         #: Forks that ended through the early-convergence exit.
         self.early_exits = 0
-        #: Jobs that could not fork (unsupported site) and ran from reset.
-        self.from_reset_runs = 0
 
     def ladder(self) -> CheckpointLadder:
         """The golden ladder (recorded on first use, then reused)."""
@@ -269,13 +261,12 @@ class _CheckpointRunnerBase:
 
         The payload (see :mod:`repro.store.artifacts`) carries the complete
         ladder — rung restore payloads, state digests, cumulative counts,
-        transaction-prefix lengths — plus the golden result and, when a
-        lockstep consumer recorded one, the golden touch timeline.  Records
-        the ladder first if this runner has not run yet.
+        transaction-prefix lengths — plus the golden result.  Records the
+        ladder first if this runner has not run yet.
         """
         from repro.store.artifacts import ladder_to_payload
 
-        return ladder_to_payload(self.ladder(), timeline=self._artifact_timeline())
+        return ladder_to_payload(self.ladder())
 
     def from_artifact(self, payload: Dict[str, Any]) -> None:
         """Install a deserialized golden recording instead of re-executing.
@@ -290,20 +281,12 @@ class _CheckpointRunnerBase:
         """
         from repro.store.artifacts import payload_to_ladder
 
-        ladder, timeline = payload_to_ladder(payload)
+        ladder = payload_to_ladder(payload)
         with TELEMETRY.span("checkpoint.verify"):
             self._verify_artifact(ladder)
         self._ladder = ladder
         self._rung_times = [self._rung_time(rung) for rung in ladder.checkpoints]
         TELEMETRY.set_gauge("checkpoint.rungs", len(ladder.checkpoints))
-        self._accept_timeline(timeline)
-
-    def _artifact_timeline(self) -> Optional[Dict[Any, List[int]]]:
-        """The lockstep touch timeline to embed in artifacts (ISS only)."""
-        return None
-
-    def _accept_timeline(self, timeline: Optional[Dict[Any, List[int]]]) -> None:
-        """Adopt a timeline restored from an artifact (ISS only)."""
 
     def _verify_artifact(self, ladder: CheckpointLadder) -> None:
         """Restore every rung into the live engine and check its digest."""
@@ -314,15 +297,11 @@ class _CheckpointRunnerBase:
         ``backend.run(max_instructions=budget, faults=[fault])``.
 
         Forks from the latest ladder rung at or before the fault's start
-        time; falls back to the plain from-reset run for faults the runner
-        cannot fork (see :meth:`supports`).  The fork stops at the first
+        time — every site a backend accepts forks, and one it rejects raises
+        the backend's own ``ValueError``.  The fork stops at the first
         post-window state-digest match against the golden ladder and splices
         the golden tail (the early-convergence exit).
         """
-        if not self.supports(fault):
-            self.from_reset_runs += 1
-            TELEMETRY.inc("checkpoint.from_reset_runs")
-            return self._backend.run(max_instructions=budget, faults=[fault])
         ladder = self.ladder()
         rung = ladder.rung_at_or_before(fault.start_cycle, self._rung_times)
         self.forks += 1
@@ -366,9 +345,6 @@ class _CheckpointRunnerBase:
 
     # -- provided by the backend-specific runner ----------------------------------
 
-    def supports(self, fault: TransientFault) -> bool:
-        raise NotImplementedError
-
     def _rung_time(self, rung: Checkpoint) -> int:
         raise NotImplementedError
 
@@ -401,14 +377,6 @@ class IssCheckpointRunner(_CheckpointRunnerBase):
         super().__init__(backend, max_instructions, interval)
         self._emulator: Optional[FastEmulator] = None
         self._base_pages: Dict[int, bytes] = {}
-        #: Golden touch timeline donated to lockstep pack runners (loaded
-        #: from an artifact, or recorded eagerly by :meth:`record_timeline`
-        #: before publication) — see :func:`repro.engine.lockstep.make_pack_runner`.
-        self.donated_timeline: Optional[Dict[Any, List[int]]] = None
-
-    def supports(self, fault: TransientFault) -> bool:
-        site = fault.site
-        return site.index is not None and site.net == ARCH_REGFILE_NET
 
     def _rung_time(self, rung: Checkpoint) -> int:
         return rung.instructions
@@ -519,23 +487,7 @@ class IssCheckpointRunner(_CheckpointRunnerBase):
                 == rungs[index].digest
             ):
                 self.early_exits += 1
-                return self._splice(ladder, rungs[index], transactions, counts)
-
-    def _splice(
-        self,
-        ladder: CheckpointLadder,
-        rung: Checkpoint,
-        transactions: List[Any],
-        counts: Dict[str, int],
-    ) -> RunResult:
-        return splice_golden_tail(ladder, rung, transactions, counts)
-
-    def _artifact_timeline(self) -> Optional[Dict[Any, List[int]]]:
-        return self.donated_timeline
-
-    def _accept_timeline(self, timeline: Optional[Dict[Any, List[int]]]) -> None:
-        if timeline is not None:
-            self.donated_timeline = timeline
+                return splice_golden_tail(ladder, rungs[index], transactions, counts)
 
     def _verify_artifact(self, ladder: CheckpointLadder) -> None:
         program = self._backend.program
@@ -563,28 +515,6 @@ class IssCheckpointRunner(_CheckpointRunnerBase):
         self._emulator = emulator
         self._base_pages = base_pages
 
-    def record_timeline(self, width: int) -> None:
-        """Eagerly record the lockstep touch timeline (normally lazy) so an
-        artifact published for a lockstep campaign carries it — every later
-        consumer then skips the recording pass too."""
-        if self.donated_timeline is None:
-            self.donated_timeline = self.pack_runner(width)._ensure_timeline()
-
-    def pack_runner(self, width: int) -> "LockstepPackRunner":
-        """The lockstep pack runtime sharing this runner's golden ladder, so
-        whole packs fork from the same rungs scalar forks use (and demoted
-        replicas splice the same golden tail).  A donated touch timeline
-        (from a cached artifact) rides along."""
-        from repro.engine.lockstep import LockstepPackRunner
-
-        return LockstepPackRunner(
-            self._backend,
-            self._max_instructions,
-            width,
-            ladder=self.ladder(),
-            timeline=self.donated_timeline,
-        )
-
 
 class RtlCheckpointRunner(_CheckpointRunnerBase):
     """Checkpointed transient runtime on the fast LEON3 cycle engine.
@@ -596,9 +526,6 @@ class RtlCheckpointRunner(_CheckpointRunnerBase):
     the from-reset prefix.  Every site forks: storage cells and nets alike
     run natively on the fast engine.
     """
-
-    def supports(self, fault: TransientFault) -> bool:
-        return True
 
     @property
     def _core(self) -> Any:

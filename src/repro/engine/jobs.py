@@ -107,17 +107,10 @@ class CampaignPlan:
     backend: ExecutionBackend
     #: Golden (fault-free) run of the planner-local backend.
     golden: RunResult
-    #: Rung spacing of the checkpointed transient runtime (``None`` selects
-    #: the adaptive ladder); only consulted for plans with transient jobs.
-    checkpoint_interval: Optional[int] = None
     #: Planner-local checkpoint runner whose ladder recording produced
     #: ``golden`` (not sent to workers; the serial scheduler reuses it so a
     #: transient campaign pays for exactly one golden execution).
     runner: Optional[object] = None
-    #: Lockstep pack width: replicas executed per shared-front-end pack by
-    #: the lockstep runtime of :mod:`repro.engine.lockstep` (1 = scalar).
-    #: Result-transparent — pack outcomes are bit-identical to scalar runs.
-    lockstep_width: int = 1
     #: Store path of the golden-artifact cache (``None`` disables it).  Pool
     #: workers open their own read connection here during init and load the
     #: golden recording instead of re-executing it (publishing idempotently

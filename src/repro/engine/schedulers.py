@@ -16,7 +16,7 @@ Two schedulers are provided:
   "Acquires", not necessarily "runs": when the plan carries the store's
   golden-artifact cache coordinates (``artifact_store_path`` /
   ``artifact_key``), worker init loads the serialized golden recording —
-  result, checkpoint ladder, touch timeline — from the store after
+  golden result or checkpoint ladder — from the store after
   state-digest verification instead of re-executing it from reset, and
   publishes the recording idempotently on a miss (``golden.cache.hit`` /
   ``golden.cache.miss`` telemetry counters account every path taken).
@@ -24,13 +24,6 @@ Two schedulers are provided:
 Both stream :class:`OutcomeRecord`s through an optional callback as they
 finish, which the engine uses for incremental aggregation and progress
 reporting.
-
-Both are also **pack-aware**: when the plan carries ``lockstep_width > 1``
-and the backend supports the lockstep runtime
-(:mod:`repro.engine.lockstep`), consecutive jobs are grouped into packs that
-execute through one shared fetch/decode front end — per replica
-bit-identical to the scalar path, so the outcome stream is unchanged
-(serial == process == lockstep, enforced by ``tests/test_lockstep.py``).
 """
 
 from __future__ import annotations
@@ -55,13 +48,11 @@ from repro.faultinjection.comparison import compare_runs
 from repro.engine.backend import ExecutionBackend, RunResult, watchdog_budget
 from repro.engine.checkpoint import make_checkpoint_runner
 from repro.engine.jobs import CampaignJob, CampaignPlan, OutcomeRecord, TransientJob
-from repro.engine.lockstep import make_pack_runner
 from repro.obs.events import EventLog
 from repro.obs.telemetry import TELEMETRY
 
 if TYPE_CHECKING:
     from repro.engine.checkpoint import _CheckpointRunnerBase
-    from repro.engine.lockstep import LockstepPackRunner
     from repro.isa.assembler import Program
 
 OutcomeCallback = Callable[[OutcomeRecord], None]
@@ -108,87 +99,16 @@ def execute_job(
     )
 
 
-def group_packs(
-    jobs: Sequence[CampaignJob], width: int
-) -> List[List[CampaignJob]]:
-    """Group consecutive same-workload, same-kind jobs into packs of at most
-    *width* replicas for the lockstep runtime.
-
-    Plans are homogeneous (one job kind, one workload), so in practice this
-    is contiguous chunking — but the grouping key is checked anyway, so a
-    heterogeneous job stream degrades to smaller packs instead of producing
-    a mixed pack.  Contiguity preserves the canonical outcome order, and the
-    plan's by-start-time transient ordering means a pack's replicas share a
-    trigger neighbourhood (the leader fast-forwards once per pack, not per
-    replica)."""
-    packs: List[List[CampaignJob]] = []
-    for job in jobs:
-        if (
-            packs
-            and len(packs[-1]) < width
-            and type(job) is type(packs[-1][0])
-            and job.workload == packs[-1][0].workload
-        ):
-            packs[-1].append(job)
-        else:
-            packs.append([job])
-    return packs
-
-
-def execute_pack(
-    backend: ExecutionBackend,
-    golden: RunResult,
-    budget: int,
-    pack_jobs: Sequence[CampaignJob],
-    pack_runner: "LockstepPackRunner",
-) -> List[OutcomeRecord]:
-    """Run one pack of jobs through the lockstep runtime and classify each
-    replica against *golden*.
-
-    Per-replica outcomes are bit-identical to :func:`execute_job`'s, so the
-    classification stream is scheduler-transparent (serial == process ==
-    lockstep).  The pack's wall time (one ``lockstep.pack`` span) is split
-    evenly across its records — the cost attribution is per pack, the
-    classification is per replica.
-    """
-    with TELEMETRY.span("lockstep.pack") as span:
-        faults = [backend._to_architectural(job.fault) for job in pack_jobs]
-        outcomes = pack_runner.run_pack(faults, budget)
-    seconds = span.seconds / len(pack_jobs)
-    records: List[OutcomeRecord] = []
-    for job, outcome in zip(pack_jobs, outcomes):
-        comparison = compare_runs(golden, outcome.result)
-        TELEMETRY.inc(
-            "engine.outcomes", labels={"class": comparison.failure_class.value}
-        )
-        records.append(
-            OutcomeRecord(
-                job=job,
-                failure_class=comparison.failure_class,
-                detection_cycle=comparison.detection_cycle,
-                faulty_instructions=outcome.result.instructions,
-                seconds=seconds,
-            )
-        )
-    return records
-
-
 def execute_jobs(
     backend: ExecutionBackend,
     golden: RunResult,
     budget: int,
     jobs: Sequence[CampaignJob],
     runner: Optional["_CheckpointRunnerBase"],
-    pack_runner: Optional["LockstepPackRunner"],
 ) -> Iterator[OutcomeRecord]:
-    """The one job loop both schedulers run: *jobs* in order, through
-    lockstep packs when *pack_runner* is set, else one by one (forking
-    transients from *runner*'s ladder when it is set).  Records stream out
-    as each job (or pack) finishes."""
-    if pack_runner is not None:
-        for pack in group_packs(jobs, pack_runner.width):
-            yield from execute_pack(backend, golden, budget, pack, pack_runner)
-        return
+    """The one job loop both schedulers run: *jobs* in order, forking
+    transients from *runner*'s ladder when it is set.  Records stream out as
+    each job finishes."""
     for job in jobs:
         yield execute_job(backend, golden, budget, job, runner=runner)
 
@@ -204,9 +124,7 @@ def plan_runner(
         return None
     if plan.runner is not None:
         return cast("_CheckpointRunnerBase", plan.runner)
-    return make_checkpoint_runner(
-        backend, plan.max_instructions, plan.checkpoint_interval
-    )
+    return make_checkpoint_runner(backend, plan.max_instructions)
 
 
 class SerialScheduler:
@@ -225,13 +143,8 @@ class SerialScheduler:
     ) -> List[OutcomeRecord]:
         budget = watchdog_budget(plan.golden.instructions)
         runner = plan_runner(plan, plan.backend)
-        pack_runner = make_pack_runner(
-            plan.backend, plan.max_instructions, plan.lockstep_width, runner=runner
-        )
         records: List[OutcomeRecord] = []
-        for record in execute_jobs(
-            plan.backend, plan.golden, budget, plan.jobs, runner, pack_runner
-        ):
+        for record in execute_jobs(plan.backend, plan.golden, budget, plan.jobs, runner):
             records.append(record)
             if on_outcome is not None:
                 on_outcome(record)
@@ -254,7 +167,6 @@ def _acquire_golden(
     runner: Optional["_CheckpointRunnerBase"],
     artifact_store_path: Optional[str],
     artifact_key: Optional[str],
-    lockstep_width: int = 1,
 ) -> RunResult:
     """Obtain this worker's golden reference, through the artifact cache
     when the plan carries its coordinates.
@@ -301,13 +213,6 @@ def _acquire_golden(
         TELEMETRY.inc("golden.cache.miss")
         if runner is not None:
             golden = runner.golden()
-            if lockstep_width > 1:
-                # Record the lockstep touch timeline eagerly so the published
-                # ladder carries it; cache consumers then skip the per-worker
-                # timeline derivation along with the golden run itself.
-                record = getattr(runner, "record_timeline", None)
-                if record is not None:
-                    record(lockstep_width)
             store.artifact_put(
                 artifact_key, "ladder", program.name, backend.name,
                 pack_artifact(runner.to_artifact()),
@@ -329,8 +234,6 @@ def _init_worker(
     program: "Program",
     max_instructions: int,
     transient: bool = False,
-    checkpoint_interval: Optional[int] = None,
-    lockstep_width: int = 1,
     telemetry_enabled: bool = False,
     trace_path: Optional[str] = None,
     artifact_store_path: Optional[str] = None,
@@ -349,13 +252,11 @@ def _init_worker(
     backend.prepare(program)
     runner: Optional["_CheckpointRunnerBase"] = None
     if transient:
-        runner = make_checkpoint_runner(
-            backend, max_instructions, checkpoint_interval
-        )
+        runner = make_checkpoint_runner(backend, max_instructions)
     with TELEMETRY.span("golden"):
         golden = _acquire_golden(
             backend, program, max_instructions, runner,
-            artifact_store_path, artifact_key, lockstep_width,
+            artifact_store_path, artifact_key,
         )
     if not golden.normal_exit:
         raise RuntimeError(
@@ -366,9 +267,6 @@ def _init_worker(
     _WORKER["golden"] = golden
     _WORKER["budget"] = watchdog_budget(golden.instructions)
     _WORKER["runner"] = runner
-    _WORKER["pack_runner"] = make_pack_runner(
-        backend, max_instructions, lockstep_width, runner=runner
-    )
 
 
 def _run_batch(
@@ -385,7 +283,6 @@ def _run_batch(
             cast(int, _WORKER["budget"]),
             jobs,
             cast("Optional[_CheckpointRunnerBase]", _WORKER["runner"]),
-            cast("Optional[LockstepPackRunner]", _WORKER["pack_runner"]),
         )
     )
     snapshot = TELEMETRY.snapshot(reset=True) if TELEMETRY.enabled else None
@@ -445,8 +342,7 @@ class MultiprocessingScheduler:
             initializer=_init_worker,
             initargs=(
                 plan.backend_factory, plan.program, plan.max_instructions,
-                plan.transient, plan.checkpoint_interval,
-                plan.lockstep_width, TELEMETRY.enabled,
+                plan.transient, TELEMETRY.enabled,
                 events.path if events is not None else None,
                 plan.artifact_store_path, plan.artifact_key,
             ),

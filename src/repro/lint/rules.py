@@ -682,7 +682,7 @@ class ArtifactBoundaryRule(Rule):
     """R007: artifact (de)serialization stays inside the strict-mypy tree.
 
     The golden-artifact cache round-trips live engine state — checkpoint
-    payloads, traces, lockstep timelines — through a typed JSON encoding,
+    payloads and traces — through a typed JSON encoding,
     and a type confusion on that path breaks the cached==fresh bit-identity
     gate silently (the digests would simply never match, or worse, match on
     subtly wrong state).  The (de)serialization module

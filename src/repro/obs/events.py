@@ -11,8 +11,8 @@ exporter then merges every sidecar into a single Chrome trace event file
 
 Event lines are flat dicts::
 
-    {"name": "lockstep.pack", "ts": 12.301, "dur": 0.0042,
-     "pid": 4711, "args": {"width": 24}}
+    {"name": "scheduler.execute", "ts": 12.301, "dur": 0.0042,
+     "pid": 4711, "args": {"scheduler": "serial"}}
 
 ``ts`` is ``time.perf_counter()`` at span entry, ``dur`` the span length,
 both in seconds; the exporter converts to the microseconds Chrome expects.

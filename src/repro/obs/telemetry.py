@@ -2,8 +2,7 @@
 
 The registry is the substrate every layer of the fault-injection stack
 reports into: the campaign engine (jobs planned/executed/memoized, outcome
-classes), the lockstep pack runtime (demotion reasons, resolution counts),
-the checkpoint ladder (fork-rung distances, splice rates), golden
+classes), the checkpoint ladder (fork-rung distances, splice rates), golden
 acquisition (the ``golden`` span and the ``golden.cache.hit`` /
 ``golden.cache.miss`` counters of the artifact cache, which are how the
 zero-golden-execution warm-start claim is *proven* rather than assumed)

@@ -10,7 +10,7 @@ The store subsystem makes fault-injection campaigns durable artifacts:
 * :mod:`repro.store.store` — :class:`CampaignStore` / :class:`CampaignSession`,
   the persistence API the engine drives (resume, chunked commits, cache hits).
 * :mod:`repro.store.artifacts` — the golden-artifact cache payloads:
-  serialized golden runs, checkpoint ladders and lockstep touch timelines,
+  serialized golden runs and checkpoint ladders,
   loaded (after state-digest verification) instead of re-executing the
   golden workload in every worker, shard, and repeated campaign.
 * :mod:`repro.store.merge` — :func:`merge_stores`, folding the per-shard

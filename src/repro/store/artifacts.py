@@ -9,9 +9,9 @@ campaign shapes:
   reset once per process just to obtain the comparison reference).
 * ``"ladder"`` — a full :class:`~repro.engine.checkpoint.CheckpointLadder`
   recording (transient campaigns): every rung's restore payload, state
-  digest, cumulative per-mnemonic counts and transaction-prefix length, the
-  golden result, and — when the campaign runs lockstep packs — the golden
-  touch timeline of :mod:`repro.engine.lockstep`.
+  digest, cumulative per-mnemonic counts and transaction-prefix length, plus
+  the golden result.  Ladders written by earlier releases may also carry a
+  ``"timeline"`` field; it is ignored on load.
 
 The format is a tagged, type-faithful JSON encoding compressed with zlib.
 Type fidelity matters because the rung payloads are handed straight back to
@@ -44,7 +44,7 @@ from __future__ import annotations
 import base64
 import json
 import zlib
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict
 
 from repro.engine.backend import RunResult
 from repro.engine.checkpoint import (
@@ -56,9 +56,12 @@ from repro.iss.trace import OffCoreTransaction
 from repro.store.schema import StoreError
 
 #: Bump on any incompatible change to the serialized payload layout.  Loads
-#: of a different version raise :class:`ArtifactError` (callers fall back to
-#: re-executing and republish under the same key), so the layout can evolve
-#: without a KEY_VERSION bump.
+#: of a different version raise :class:`ArtifactError` and callers fall back
+#: to re-executing — but their publish under the same key is a no-op
+#: (``artifact_put`` is ``ON CONFLICT DO NOTHING``), so a stale row is never
+#: replaced and every later load of that key misses and re-records.  Prefer
+#: layout changes old payloads still decode under (as dropping the ladder's
+#: ``"timeline"`` field was).
 ARTIFACT_VERSION = 1
 
 __all__ = [
@@ -85,7 +88,7 @@ class ArtifactError(StoreError):
 #
 # JSON alone loses exactly the three shapes the engines' capture payloads
 # rely on: bytes (dirty pages), tuples (cache snapshots, touched-line sets)
-# and non-string dict keys (page indices, timeline slots).  Each gets a
+# and non-string dict keys (page indices).  Each gets a
 # single-key tag object; everything else passes through untouched.
 
 _BYTES_TAG = "__bytes__"
@@ -98,7 +101,7 @@ def encode_value(value: Any) -> Any:
     """*value* as a JSON-serializable structure, type-faithfully.
 
     Supports the closed set of types the fast engines' ``capture_state``
-    payloads (and the lockstep touch timeline) are built from; anything else
+    payloads are built from; anything else
     fails loud — silently coercing an unknown type would surface later as a
     digest mismatch on load, far from its cause.
     """
@@ -210,16 +213,8 @@ def _payload_to_result(payload: Dict[str, Any]) -> RunResult:
 # -- CheckpointLadder -------------------------------------------------------------
 
 
-def ladder_to_payload(
-    ladder: CheckpointLadder,
-    timeline: Optional[Dict[Any, List[int]]] = None,
-) -> Dict[str, Any]:
-    """Serialize a recorded golden ladder (artifact kind ``"ladder"``).
-
-    *timeline* is the optional lockstep golden touch timeline
-    (:mod:`repro.engine.lockstep`); campaigns that never build packs store
-    ``None`` and lockstep consumers then record it lazily as before.
-    """
+def ladder_to_payload(ladder: CheckpointLadder) -> Dict[str, Any]:
+    """Serialize a recorded golden ladder (artifact kind ``"ladder"``)."""
     return {
         "artifact_version": ARTIFACT_VERSION,
         "kind": "ladder",
@@ -237,18 +232,14 @@ def ladder_to_payload(
         ],
         "golden": _result_to_payload(ladder.golden),
         "final_counts": dict(ladder.final_counts),
-        "timeline": None if timeline is None else encode_value(timeline),
     }
 
 
-def payload_to_ladder(
-    payload: Dict[str, Any],
-) -> Tuple[CheckpointLadder, Optional[Dict[Any, List[int]]]]:
+def payload_to_ladder(payload: Dict[str, Any]) -> CheckpointLadder:
     """Deserialize an artifact of kind ``"ladder"``.
 
-    Returns the ladder plus the stored touch timeline (``None`` when the
-    recording carried none).  Callers must still verify bit-identity against
-    the live engine before use — see the runners' ``from_artifact``.
+    Callers must still verify bit-identity against the live engine before
+    use — see the runners' ``from_artifact``.
     """
     _check_version(payload, "ladder")
     checkpoints = [
@@ -262,14 +253,12 @@ def payload_to_ladder(
         )
         for rung in payload["checkpoints"]
     ]
-    ladder = CheckpointLadder(
+    return CheckpointLadder(
         interval=payload["interval"],
         checkpoints=checkpoints,
         golden=_payload_to_result(payload["golden"]),
         final_counts=dict(payload["final_counts"]),
     )
-    timeline = payload["timeline"]
-    return ladder, None if timeline is None else decode_value(timeline)
 
 
 # -- blob packing -----------------------------------------------------------------

@@ -38,7 +38,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, TextIO
 
 from repro.engine import CampaignConfig, CampaignEngine, IssBackend, Leon3RtlBackend
 from repro.obs.events import export_chrome_trace, sidecar_paths
-from repro.obs.telemetry import TELEMETRY, split_series_name
+from repro.obs.telemetry import TELEMETRY
 from repro.isa.assembler import Program
 from repro.rtl.faults import ALL_FAULT_MODELS, FaultModel
 from repro.workloads import all_workloads, build_program
@@ -172,27 +172,15 @@ def _print_breakdown(store: CampaignStore, info: CampaignInfo) -> None:
 
 
 def _span_rate() -> Optional[float]:
-    """Injections/sec from the measured job/pack spans, ``None`` before any
-    span has landed (or with telemetry off).  This is the *simulation* rate —
-    the span histograms exclude planning/scheduling overhead — and in
+    """Injections/sec from the measured job spans, ``None`` before any span
+    has landed (or with telemetry off).  This is the *simulation* rate — the
+    span histogram excludes planning/scheduling overhead — and in
     multiprocessing campaigns it aggregates every worker's shipped deltas."""
     if not TELEMETRY.enabled:
         return None
-    snapshot = TELEMETRY.snapshot()
-    histograms = snapshot["histograms"]
-    seconds = 0.0
-    injections = 0
-    job = histograms.get("engine.job.seconds")
-    if job:
-        seconds += job["total"]
-        injections += job["count"]
-    pack = histograms.get("lockstep.pack.seconds")
-    if pack:
-        seconds += pack["total"]
-        # One pack span covers all its replicas; count injections, not packs.
-        injections += snapshot["counters"].get("lockstep.replicas", pack["count"])
-    if injections and seconds > 0:
-        return injections / seconds
+    job = TELEMETRY.snapshot()["histograms"].get("engine.job.seconds")
+    if job and job["count"] and job["total"] > 0:
+        return float(job["count"] / job["total"])
     return None
 
 
@@ -324,8 +312,6 @@ def cmd_campaign_run(args: argparse.Namespace) -> int:
         resume=not args.no_resume,
         transient_windows=args.transient,
         transient_duration=args.duration,
-        checkpoint_interval=args.checkpoint_interval,
-        lockstep_width=args.lockstep,
         telemetry=not args.no_telemetry,
         trace_path=args.trace,
         shards=args.shards,
@@ -547,8 +533,8 @@ def _format_histogram(name: str, data: Dict[str, Any]) -> List[str]:
 
 def _metrics_summary(metrics: Dict[str, Any]) -> List[str]:
     """The derived headline numbers the paper workflow actually wants:
-    demotion-reason breakdown, fork-rung distance distribution, cache-hit
-    ratio — computed from the raw series in a stored manifest."""
+    cache-hit ratios, fork-rung distance distribution, early-exit splice
+    rate — computed from the raw series in a stored manifest."""
     counters = metrics.get("counters", {})
     histograms = metrics.get("histograms", {})
     lines: List[str] = []
@@ -569,19 +555,6 @@ def _metrics_summary(metrics: Dict[str, Any]) -> List[str]:
             f"  golden-artifact cache: {golden_hits} loaded, "
             f"{golden_misses} recorded (planner + workers)"
         )
-
-    demotions: Dict[str, int] = {}
-    for series, value in counters.items():
-        base, labels = split_series_name(series)
-        if base == "lockstep.demotions" and "reason" in labels:
-            demotions[labels["reason"]] = value
-    if demotions:
-        total = sum(demotions.values())
-        lines.append(f"  demotions by reason ({total} total):")
-        for reason, value in sorted(
-            demotions.items(), key=lambda item: -item[1]
-        ):
-            lines.append(f"    {reason:>20}: {value}")
 
     fork_distance = histograms.get("checkpoint.fork_distance")
     if fork_distance and fork_distance["count"]:
@@ -776,13 +749,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--duration", type=int, default=1,
                      help="transient window length in backend time units "
                           "(default: 1)")
-    run.add_argument("--checkpoint-interval", type=int, default=None,
-                     help="golden-ladder rung spacing in instructions "
-                          "(default: adaptive)")
-    run.add_argument("--lockstep", type=int, default=1, metavar="N",
-                     help="execute N faulty replicas per lockstep pack "
-                          "through one shared front end (ISS backend; "
-                          "default: 1, scalar)")
     run.add_argument("--shards", type=int, default=1, metavar="N",
                      help="split the campaign plan into N disjoint shards "
                           "and execute only --shard-index against this store "

@@ -8,11 +8,8 @@ are guaranteed to produce bit-identical ``Pf`` breakdowns — schedulers are
 result-transparent — so the key is a safe cache address for stored outcomes.
 
 Deliberately *not* part of the key: ``n_workers``, ``scheduler`` and
-``chunk_size`` (execution strategy, not results), ``lockstep_width`` (the
-N-way pack runtime of :mod:`repro.engine.lockstep` is bit-identical to the
-scalar path on every observable — a lockstep campaign reads and populates
-the same stored campaign as a scalar one, and ``KEY_VERSION`` stays at 1),
-``store_path``/``resume`` (persistence plumbing), wall-clock timing, and the
+``chunk_size`` (execution strategy, not results), ``store_path``/``resume``
+(persistence plumbing), wall-clock timing, and the
 ``telemetry``/``trace_path`` observability switches (metrics and trace
 events describe *how* a run executed and never feed back into what it
 computes; run manifests are stored beside the campaign, not in its key —
@@ -91,8 +88,8 @@ if TYPE_CHECKING:
 #:   ``tests/test_checkpoint.py`` across the workload registry on both
 #:   backends and re-verified by ``benchmarks/bench_transient_throughput.py``
 #:   before it reports any number.  Like the fast interpreters, it is an
-#:   execution strategy: ``checkpoint_interval`` is therefore excluded from
-#:   the key (the early-convergence exit always runs and has no knob).
+#:   execution strategy with no campaign knob (the adaptive ladder and the
+#:   early-convergence exit always run).
 #:
 #: * The ``StorageArray._last_read`` reset fix (see
 #:   :meth:`repro.rtl.netlist.StorageArray.reset`) closes a cross-run leak
@@ -126,10 +123,8 @@ RESULT_TRANSPARENT = frozenset(
         "chunk_size",
         "store_path",
         "resume",
-        "checkpoint_interval",
         "telemetry",
         "trace_path",
-        "lockstep_width",
         # Sharding is pure execution partitioning: a shard commits outcomes
         # under the *parent* campaign's key with the parent plan's job
         # indices, and merge(shards) is bit-identical to the unsharded run
@@ -295,20 +290,21 @@ def artifact_key(
     program: Program,
     backend_id: str,
     max_instructions: int,
-    checkpoint_interval: Optional[int],
+    checkpoint_interval: Optional[int] = None,
 ) -> str:
     """Content address of one golden artifact (64 hex chars).
 
     Golden recordings are a pure function of the workload bytes, the backend
     identity, and the instruction budget; checkpoint-ladder recordings
-    additionally depend on the rung spacing, so the requested
-    ``checkpoint_interval`` (``None`` selects the adaptive ladder) joins the
-    payload.  *kind* separates the artifact populations — ``"golden"`` for a
-    plain golden :class:`~repro.engine.backend.RunResult` (permanent
-    campaigns) and ``"ladder"`` for a full
-    :class:`~repro.engine.checkpoint.CheckpointLadder` recording (transient
-    campaigns) — so the two can never alias even when every other input
-    matches.
+    additionally depend on the rung spacing, so ``checkpoint_interval``
+    joins the payload.  Campaigns always record the adaptive ladder and
+    leave it at ``None`` — the value every stored artifact was written
+    under, so existing ladders keep hitting.  *kind* separates the artifact
+    populations — ``"golden"`` for a plain golden
+    :class:`~repro.engine.backend.RunResult` (permanent campaigns) and
+    ``"ladder"`` for a full :class:`~repro.engine.checkpoint.CheckpointLadder`
+    recording (transient campaigns) — so the two can never alias even when
+    every other input matches.
 
     The ``"kind"`` tag also keeps artifact keys a *separate namespace* from
     campaign keys and memo keys: a campaign payload has no ``"kind"`` field

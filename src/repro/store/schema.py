@@ -27,10 +27,9 @@ Seven tables:
   :mod:`repro.store.artifacts`): one row per content-addressed golden
   recording — a serialized golden :class:`~repro.engine.backend.RunResult`,
   or a full :class:`~repro.engine.checkpoint.CheckpointLadder` (rung
-  payloads, digests, counts, transaction prefixes) plus an optional lockstep
-  touch timeline — compressed as a BLOB.  Loading one replaces the golden
-  re-execution every worker, shard, and repeated campaign would otherwise
-  perform from reset.
+  payloads, digests, counts, transaction prefixes) — compressed as a BLOB.
+  Loading one replaces the golden re-execution every worker, shard, and
+  repeated campaign would otherwise perform from reset.
 * ``artifact_refs`` — which campaigns consumed or produced which artifact;
   the reachability edges ``gc`` walks so an artifact referenced by a
   surviving campaign row (e.g. an incomplete shard awaiting merge) is never

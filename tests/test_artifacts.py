@@ -51,7 +51,6 @@ from repro.store.artifacts import (
     golden_to_payload,
     pack_artifact,
     payload_to_golden,
-    payload_to_ladder,
     unpack_artifact,
 )
 from repro.store.cli import main as cli_main
@@ -269,6 +268,25 @@ class TestArtifactKey:
         )
         assert self._key(changed) != base
 
+    @pytest.mark.parametrize("kind, address", [
+        ("iss", "b60e9f9c05db92291f7745d6b680d6bebbf8ea1480e29bbe8b1e1ef1001f81a5"),
+        ("rtl", "85d1c3659a610e055d36ffe913a07b2ba870b2b603a073d3acc47a20d04ec096"),
+    ])
+    def test_campaign_ladder_address_is_pinned(self, kind, address):
+        # The address every existing store holds intbench transient ladders
+        # under: campaigns record the adaptive ladder, so the digest keeps
+        # its "checkpoint_interval": null entry and stored ladders keep
+        # hitting.
+        engine = CampaignEngine(
+            build_program("intbench"),
+            CampaignConfig(
+                unit_scope="arch.regfile" if kind == "iss" else "iu",
+                sample_size=4, seed=3, transient_windows=2,
+            ),
+            backend_factory=IssBackend if kind == "iss" else Leon3RtlBackend,
+        )
+        assert engine.artifact_address() == address
+
     def test_artifact_keys_are_their_own_namespace(self, small_program):
         # Same constituent inputs can never collide with a campaign or memo
         # key: the payload carries a "golden-artifact/<kind>" tag.
@@ -350,28 +368,6 @@ class TestCampaignCache:
         assert misses == 0 and hits >= 2
         _assert_identical(serial_results, pooled_results)
 
-    def test_lockstep_timeline_rides_the_artifact(
-        self, small_program, tmp_path
-    ):
-        store_path = str(tmp_path / "c.sqlite")
-        packed = _campaign(
-            small_program, "iss", store_path, transient=True, lockstep_width=4
-        )
-        packed_results = packed.run()
-        with CampaignStore(store_path) as store:
-            (info,) = store.list_artifacts()
-            payload = unpack_artifact(store.artifact_get(info.key))
-        ladder, timeline = payload_to_ladder(payload)
-        assert timeline is not None  # recorded eagerly before publication
-        assert ladder.checkpoints
-        warm = _campaign(
-            small_program, "iss", store_path, transient=True,
-            lockstep_width=4, resume=False,
-        ).run()
-        hits, misses = _golden_counters()
-        assert misses == 0 and hits >= 1
-        _assert_identical(packed_results, warm)
-
     def test_memory_store_skips_the_cache(self, small_program):
         with CampaignStore(":memory:") as store:
             engine = _campaign(small_program, "iss", transient=True)
@@ -379,28 +375,6 @@ class TestCampaignCache:
             hits, misses = _golden_counters()
             assert (hits, misses) == (0, 0)
             assert store.list_artifacts() == []
-
-    def test_interval_change_misses_and_rerecords(
-        self, small_program, tmp_path
-    ):
-        store_path = str(tmp_path / "c.sqlite")
-        base = _campaign(small_program, "iss", store_path, transient=True)
-        base_results = base.run()
-        spaced = _campaign(
-            small_program, "iss", store_path, transient=True,
-            checkpoint_interval=64,
-        )
-        spaced.run()
-        hits, misses = _golden_counters()
-        assert (hits, misses) == (0, 1)  # different address: a fresh miss
-        with CampaignStore(store_path) as store:
-            assert len(store.list_artifacts()) == 2
-        # Different rung spacing is result-transparent: same outcomes.
-        rerun = _campaign(
-            small_program, "iss", store_path, transient=True,
-            checkpoint_interval=64, resume=False,
-        ).run()
-        _assert_identical(base_results, rerun)
 
     def test_corrupt_blob_falls_back_to_fresh_execution(
         self, small_program, tmp_path
@@ -443,6 +417,45 @@ class TestCampaignCache:
         hits, misses = _golden_counters()
         assert (hits, misses) == (0, 1)  # verification failed: treated a miss
         _assert_identical(cold_results, warm)
+
+
+# ---------------------------------------------------------------------------
+# Ladders written by earlier releases
+# ---------------------------------------------------------------------------
+
+#: A touch timeline in the shape earlier releases stored beside ISS ladders
+#: (physical register slots, the "icc" pseudo-slot and memory-word keys, each
+#: mapped to golden instruction indices).
+LEGACY_TIMELINE = {8: [3, 17, 40], "icc": [5], (1 << 32) + 0x4000: [9]}
+
+
+class TestLegacyLadderPayload:
+    @pytest.mark.parametrize("kind, timeline", [
+        ("iss", None), ("iss", LEGACY_TIMELINE), ("rtl", None),
+    ], ids=["iss-null", "iss-timeline", "rtl-null"])
+    def test_legacy_ladder_blob_serves_bit_identical_campaign(
+        self, kind, timeline, small_program, tmp_path
+    ):
+        fresh = _campaign(small_program, kind, transient=True).run()
+
+        backend = _backend(kind)
+        backend.prepare(small_program)
+        payload = backend.checkpoint_runner(MAX_INSTRUCTIONS).to_artifact()
+        assert "timeline" not in payload
+        payload["timeline"] = None if timeline is None else encode_value(timeline)
+        assert payload["artifact_version"] == ARTIFACT_VERSION == 1
+
+        store_path = str(tmp_path / "c.sqlite")
+        engine = _campaign(small_program, kind, store_path, transient=True)
+        with CampaignStore(store_path) as store:
+            assert store.artifact_put(
+                engine.artifact_address(), "ladder", small_program.name,
+                backend.name, pack_artifact(payload),
+            )
+        served = engine.run()
+        hits, misses = _golden_counters()
+        assert (hits, misses) == (1, 0)  # loaded, never re-recorded
+        _assert_identical(fresh, served)
 
 
 # ---------------------------------------------------------------------------

@@ -107,8 +107,8 @@ class TestGate:
         ) == 0
 
     def test_check_enforces_the_hard_floor(self, tmp_path):
-        """The lockstep gate: never below the floor, even when the committed
-        baseline would tolerate it."""
+        """The hard floor (e.g. the RTL and transient benches'): never below
+        it, even when the committed baseline would tolerate it."""
         path = tmp_path / "BENCH_unit.json"
         append_record(path, _record(3.2))
         assert run_gated_benchmark(

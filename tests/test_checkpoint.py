@@ -153,8 +153,23 @@ class TestLadder:
         reference = backend.run(max_instructions=budget, faults=[fault])
         forked = runner.run_transient(fault, budget)
         assert_run_results_identical(reference, forked)
-        assert runner.from_reset_runs == 0
         assert runner.forks == 1
+
+    def test_invalid_iss_site_raises_the_backend_error(self):
+        # Every site the ISS backend accepts forks; one it rejects raises the
+        # same ValueError through the runner as through a from-reset run.
+        backend = IssBackend()
+        backend.prepare(build_program("intbench"))
+        runner = backend.checkpoint_runner(MAX_INSTRUCTIONS)
+        fault = TransientFault(
+            FaultSite(net="rf.cells", bit=0, unit="iu.regfile", index=4),
+            start_cycle=10,
+        )
+        with pytest.raises(ValueError) as direct:
+            backend.run(max_instructions=MAX_INSTRUCTIONS, faults=[fault])
+        with pytest.raises(ValueError) as forked:
+            runner.run_transient(fault, MAX_INSTRUCTIONS)
+        assert str(forked.value) == str(direct.value)
 
 
 @pytest.mark.parametrize("net, bit", [
@@ -181,7 +196,6 @@ def test_rtl_net_transient_fork_bit_identity(net, bit):
         forked = runner.run_transient(fault, budget)
         assert_run_results_identical(reference, forked)
     assert runner.forks == len(windows)
-    assert runner.from_reset_runs == 0
 
 
 class TestTransientPlanning:
@@ -227,15 +241,29 @@ class TestTransientPlanning:
 
 
 class TestCampaignIntegration:
+    # One named test per backend (not a parametrization), so the RTL test
+    # keeps its established id.
     def test_serial_equals_parallel_transient_campaign(self):
+        self._check_serial_equals_parallel("rtl")
+
+    def test_serial_equals_parallel_iss_transient_campaign(self):
+        self._check_serial_equals_parallel("iss")
+
+    @staticmethod
+    def _check_serial_equals_parallel(kind):
         program = build_program("intbench")
         base = {
-            "unit_scope": "iu", "sample_size": 5, "seed": 3, "transient_windows": 2,
+            "unit_scope": "iu" if kind == "rtl" else "arch.regfile",
+            "sample_size": 5, "seed": 3, "transient_windows": 2,
         }
-        serial = CampaignEngine(program, CampaignConfig(**base)).run()
+        factory = Leon3RtlBackend if kind == "rtl" else IssBackend
+        serial = CampaignEngine(
+            program, CampaignConfig(**base), backend_factory=factory
+        ).run()
         parallel = CampaignEngine(
             program,
             CampaignConfig(**base, n_workers=2, scheduler="process"),
+            backend_factory=factory,
         ).run()
         left = serial[FaultModel.TRANSIENT]
         right = parallel[FaultModel.TRANSIENT]
@@ -348,17 +376,3 @@ class TestStoreIntegration:
             ),
         ).store_key()
         assert permanent != transient
-
-    def test_checkpoint_knobs_are_not_part_of_the_key(self):
-        program = build_program("intbench")
-
-        def key(**kwargs):
-            return CampaignEngine(
-                program,
-                CampaignConfig(
-                    unit_scope="iu", sample_size=4, seed=3,
-                    transient_windows=2, **kwargs,
-                ),
-            ).store_key()
-
-        assert key() == key(checkpoint_interval=64)

@@ -100,6 +100,23 @@ class TestStats:
         low_large, high_large = proportion_confidence_interval(300, 1000)
         assert (high_large - low_large) < (high_small - low_small)
 
+    def test_confidence_interval_bounds_zero_failures_above_zero(self):
+        low, high = proportion_confidence_interval(0, 50)
+        assert low == 0.0
+        assert high > 0.0
+
+    @pytest.mark.parametrize("trials", [10, 50, 200])
+    @pytest.mark.parametrize("p", [0.01, 0.05, 0.2, 0.5])
+    def test_confidence_interval_exact_coverage(self, trials, p):
+        # Exact coverage by binomial enumeration: the probability that the
+        # interval computed from a Binomial(trials, p) draw contains p.
+        coverage = 0.0
+        for k in range(trials + 1):
+            low, high = proportion_confidence_interval(k, trials)
+            if low <= p <= high:
+                coverage += math.comb(trials, k) * p**k * (1 - p) ** (trials - k)
+        assert coverage >= 0.90
+
 
 class TestDiversityAnalysis:
     def test_characterize_program_matches_trace(self):

@@ -6,9 +6,9 @@ The acceptance properties of :mod:`repro.obs` live here:
   same campaign produce *equal* counter and histogram values (wall-clock
   timing series excluded), because worker snapshots merge additively and
   order-transparently.
-* **Reconciliation** — lockstep resolution counts add up to the replica
-  count, and demotion-reason counts add up to the demoted resolutions, so
-  the telemetry is an account of the run rather than an approximation.
+* **Reconciliation** — every transient job is one checkpoint fork and one
+  classified outcome, so the telemetry is an account of the run rather than
+  an approximation.
 * **Store transparency** — campaign keys are byte-identical with telemetry
   on and off (pinned against the exact key PR 2..6 stored campaigns under),
   and run manifests live beside the campaign, never in its key.
@@ -182,27 +182,21 @@ class TestSchedulerTransparency:
         assert snapshot == {"counters": {}, "gauges": {}, "histograms": {}}
 
 
-class TestLockstepReconciliation:
-    def test_resolutions_account_for_every_replica(self):
-        snapshot = _snapshot_of(
-            {"lockstep_width": 4}, workload="intbench"
-        )
+class TestForkReconciliation:
+    def test_every_transient_job_forks_and_is_classified(self):
+        snapshot = _snapshot_of({}, workload="intbench")
         counters = snapshot["counters"]
-        resolutions = {}
-        demotions = {}
-        for series, value in counters.items():
-            base, labels = split_series_name(series)
-            if base == "lockstep.resolutions":
-                resolutions[labels["kind"]] = value
-            elif base == "lockstep.demotions":
-                demotions[labels["reason"]] = value
-        assert sum(resolutions.values()) == counters["lockstep.replicas"]
-        assert resolutions.get("demoted", 0) + resolutions.get(
-            "spliced", 0
-        ) == sum(demotions.values())
-        width = snapshot["histograms"]["lockstep.pack.width"]
-        assert width["count"] == counters["lockstep.packs"]
-        assert width["total"] == counters["lockstep.replicas"]
+        jobs = counters["campaign.jobs_executed"]
+        outcomes = sum(
+            value for series, value in counters.items()
+            if split_series_name(series)[0] == "engine.outcomes"
+        )
+        assert jobs == 8
+        assert outcomes == jobs
+        assert counters["checkpoint.forks"] == jobs
+        assert counters.get("checkpoint.early_exits", 0) <= jobs
+        distance = snapshot["histograms"]["checkpoint.fork_distance"]
+        assert distance["count"] == jobs
 
 
 class TestStoreTransparency:
