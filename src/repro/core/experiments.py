@@ -446,7 +446,7 @@ def simulation_time_comparison(
     engine = CampaignEngine(
         program, config, backend_factory=functools.partial(Leon3RtlBackend, fast=False)
     )
-    result = engine.run_model(FaultModel.STUCK_AT_1)
+    result = engine.run()[FaultModel.STUCK_AT_1]
     iss_seconds = reference_run_seconds(
         program,
         functools.partial(IssBackend, fast=False),

@@ -3,7 +3,8 @@
 This is the load-bearing orchestration layer of the framework.  A campaign is
 
 1. **planned** — one golden run, one site sample shared by every fault model,
-   expanded into a flat list of picklable :class:`InjectionJob`s,
+   expanded into a flat list of picklable :class:`InjectionJob`s and
+   addressed by one content key (:meth:`CampaignEngine.store_key`),
 2. **executed** — through a pluggable scheduler (serial, or a
    :mod:`multiprocessing` pool with chunked batches and per-worker golden
    caching), and
@@ -15,15 +16,17 @@ Schedulers are required to be result-transparent: for the same plan, every
 scheduler yields bit-identical ``Pf`` breakdowns (the test suite enforces
 serial == multiprocessing).
 
-Campaigns can additionally be made **durable** through the
-:mod:`repro.store` subsystem: with a :class:`~repro.store.CampaignStore`
-(``run(store=...)``, or ``CampaignConfig.store_path``) every finished outcome
-is committed in chunks under the campaign's content-addressed key, an
+Every campaign runs through the :mod:`repro.store` subsystem: with a
+:class:`~repro.store.CampaignStore` (``run(store=...)``, or
+``CampaignConfig.store_path``) it is **durable** — every finished outcome is
+committed in chunks under the campaign's content-addressed key, an
 interrupted campaign resumes from its last committed outcome, and a repeated
-campaign is a pure cache hit that executes zero new injections.  Stored and
-freshly executed outcomes are merged through an ordered reorder buffer, so a
-resumed campaign aggregates in exactly the same order as an uninterrupted one
-(bit-identical results, enforced by ``tests/test_store.py``).
+campaign is a pure cache hit that executes zero new injections.  Without
+one, the run commits to a private in-memory store and takes the same path.
+Stored and freshly executed outcomes are merged through an ordered reorder
+buffer, so a resumed campaign aggregates in exactly the same order as an
+uninterrupted one (bit-identical results, enforced by
+``tests/test_store.py``).
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from typing import (
     Callable,
     Dict,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -70,6 +74,7 @@ from repro.obs.events import EventLog
 from repro.obs.telemetry import TELEMETRY, Span
 
 if TYPE_CHECKING:
+    from repro.engine.checkpoint import _CheckpointRunnerBase
     from repro.store import CampaignStore
 
 #: Progress callback: (completed jobs, total jobs, outcome just finished).
@@ -101,8 +106,6 @@ class CampaignConfig:
     #: Scheduler name ("serial" / "process"); ``None`` auto-selects from
     #: ``n_workers``.
     scheduler: Optional[str] = None
-    #: Jobs per scheduler batch (``None`` = derived from the plan size).
-    chunk_size: Optional[int] = None
     #: Path of a :class:`~repro.store.CampaignStore` SQLite database; when
     #: set, outcomes are committed there and repeated campaigns are served
     #: from the store instead of re-executing injections.
@@ -153,8 +156,6 @@ class CampaignConfig:
         # worker pool half-way through a golden run.
         if self.n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {self.n_workers}")
-        if self.chunk_size is not None and self.chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {self.chunk_size}")
         if self.scheduler is not None and self.scheduler not in KNOWN_SCHEDULERS:
             raise ValueError(
                 f"unknown scheduler {self.scheduler!r} "
@@ -208,8 +209,39 @@ class CampaignConfig:
         """True when this configuration plans a transient campaign."""
         return self.transient_windows is not None
 
-    def scopes(self) -> List[str]:
-        return [self.unit_scope]
+    @classmethod
+    def from_row(cls, row: Dict[str, Any], **execution: Any) -> "CampaignConfig":
+        """Rebuild the configuration a stored campaign row was written from.
+
+        The inverse of the row ``CampaignEngine._identity`` derives beside
+        the key (``repro campaign resume`` rebuilds campaigns through it);
+        *execution* sets the result-transparent knobs.
+        """
+        fields: Dict[str, Any] = {
+            "unit_scope": row["unit_scope"],
+            "sample_size": row["sample_size"],
+            "seed": row["seed"],
+            "max_instructions": row["max_instructions"],
+        }
+        transient = row.get("transient")
+        if transient:
+            # Transient planning derives its single result bucket itself;
+            # the stored ["transient"] list only describes the outcomes.
+            fields["transient_windows"] = transient["windows"]
+            fields["transient_duration"] = transient["duration"]
+        else:
+            fields["fault_models"] = [FaultModel(v) for v in row["fault_models"]]
+        return cls(**fields, **execution)
+
+
+class _Identity(NamedTuple):
+    """A campaign resolved once: its result buckets, canonical job list,
+    content key and stored configuration row."""
+
+    models: Tuple[FaultModel, ...]
+    jobs: List[CampaignJob]
+    key: str
+    row: Dict[str, Any]
 
 
 class CampaignEngine:
@@ -236,12 +268,14 @@ class CampaignEngine:
         #: Planner-local checkpoint runner of a transient campaign (its
         #: ladder recording doubles as the golden run; the serial scheduler
         #: reuses it through the plan, workers build their own).
-        self._runner = None
+        self._runner: Optional["_CheckpointRunnerBase"] = None
         #: Golden-artifact cache coordinates, armed by :meth:`run` when a
         #: file-backed store is in play; ``None`` otherwise (the cache-less
         #: path).
         self._artifact_store_path: Optional[str] = None
         self._artifact_key: Optional[str] = None
+        #: This campaign's resolved identity (see :meth:`_identity`).
+        self._resolved: Optional[_Identity] = None
 
     # -- planner-local backend ---------------------------------------------------------
 
@@ -301,7 +335,7 @@ class CampaignEngine:
         element, and only storage sites can fork from checkpoints.
         """
         universe = self.backend.sites
-        scope = self.config.scopes()
+        scope = [self.config.unit_scope]
         storage_only = self.config.transient
         if self.config.sample_size is None:
             return list(universe.iter_sites(scope, storage_only=storage_only))
@@ -311,32 +345,6 @@ class CampaignEngine:
             seed=self.config.seed,
             storage_only=storage_only,
         )
-
-    def _models(
-        self, fault_models: Optional[Sequence[FaultModel]]
-    ) -> Tuple[FaultModel, ...]:
-        """The result buckets of this campaign (transient mode has one)."""
-        if self.config.transient:
-            if fault_models is not None:
-                raise ValueError(
-                    "transient campaigns aggregate under the single "
-                    "FaultModel.TRANSIENT bucket; drop the explicit "
-                    "fault_models argument (or transient_windows)"
-                )
-            return (FaultModel.TRANSIENT,)
-        return tuple(
-            fault_models if fault_models is not None else self.config.fault_models
-        )
-
-    def _transient_meta(self) -> Dict[str, Any]:
-        """Window parameters of a transient campaign — the one definition
-        both the content key (:meth:`store_key`) and the stored
-        configuration (``begin_campaign``) are built from."""
-        return {
-            "windows": self.config.transient_windows,
-            "duration": self.config.transient_duration,
-            "unit": getattr(self.backend, "transient_unit", "cycles"),
-        }
 
     def _plan_job_list(
         self, models: Tuple[FaultModel, ...], site_list: List[FaultSite]
@@ -372,31 +380,6 @@ class CampaignEngine:
             workload=self.program.name,
         ))
 
-    def plan(
-        self,
-        fault_models: Optional[Sequence[FaultModel]] = None,
-        sites: Optional[Sequence[FaultSite]] = None,
-    ) -> CampaignPlan:
-        """Build the executable plan: golden run + site sample + job list."""
-        golden = self.golden_run()
-        models = self._models(fault_models)
-        site_list = list(sites) if sites is not None else self.select_sites()
-        jobs = self._plan_job_list(models, site_list)
-        return CampaignPlan(
-            program=self.program,
-            backend_factory=self.backend_factory,
-            unit_scope=self.config.unit_scope,
-            fault_models=models,
-            sites=site_list,
-            jobs=jobs,
-            max_instructions=self.config.max_instructions,
-            backend=self.backend,
-            golden=golden,
-            runner=self._runner,
-            artifact_store_path=self._artifact_store_path,
-            artifact_key=self._artifact_key,
-        )
-
     def artifact_address(self) -> str:
         """The content address of this campaign's golden artifact.
 
@@ -425,44 +408,73 @@ class CampaignEngine:
             max_instructions=config.max_instructions,
         )
 
-    def store_key(self) -> str:
-        """The content key this campaign is (or would be) stored under.
+    def _identity(self) -> _Identity:
+        """Resolve the campaign once: result buckets, site sample, canonical
+        job list, content key and the configuration row the store keeps.
 
-        Derived exactly as the durable path derives it, including the
-        transient window sample for transient campaigns (which
-        deterministically runs the golden to plan it).
+        The one place a campaign's identity is derived — :meth:`store_key`
+        reads it, :meth:`run` commits under it, and ``repro campaign resume``
+        rebuilds the configuration from the row
+        (:meth:`CampaignConfig.from_row`).  Transient campaigns extend both
+        with their window parameters and the key with the planned window
+        sample, so a transient campaign can never alias a permanent one.
+        Cached: planning a transient sample runs the golden, once per engine.
         """
-        # Imported lazily: the store subsystem sits beside the engine.
-        from repro.store.keys import backend_identity, campaign_key, transient_token
+        if self._resolved is None:
+            # Imported lazily: the store subsystem sits beside the engine.
+            from repro.store.keys import backend_identity, campaign_key, transient_token
 
-        config = self.config
-        models = self._models(None)
-        site_list = self.select_sites()
-        transient = None
-        if config.transient:
+            config = self.config
+            models = (
+                (FaultModel.TRANSIENT,)
+                if config.transient
+                else tuple(config.fault_models)
+            )
+            site_list = self.select_sites()
             jobs = self._plan_job_list(models, site_list)
-            transient = dict(self._transient_meta())
-            transient["jobs"] = [
-                transient_token(cast(TransientJob, job)) for job in jobs
-            ]
-        return campaign_key(
-            program=self.program,
-            sites=site_list,
-            fault_models=models,
-            seed=config.seed,
-            backend_id=backend_identity(self.backend.name, self.backend_factory),
-            unit_scope=config.unit_scope,
-            sample_size=config.sample_size,
-            max_instructions=config.max_instructions,
-            transient=transient,
-        )
+            row: Dict[str, Any] = {
+                "workload": self.program.name,
+                "unit_scope": config.unit_scope,
+                "sample_size": config.sample_size,
+                "seed": config.seed,
+                "max_instructions": config.max_instructions,
+                "fault_models": [model.value for model in models],
+                "backend": self.backend.name,
+            }
+            transient: Optional[Dict[str, Any]] = None
+            if config.transient:
+                row["transient"] = {
+                    "windows": config.transient_windows,
+                    "duration": config.transient_duration,
+                    "unit": getattr(self.backend, "transient_unit", "cycles"),
+                }
+                transient = dict(row["transient"])
+                transient["jobs"] = [
+                    transient_token(cast(TransientJob, job)) for job in jobs
+                ]
+            key = campaign_key(
+                program=self.program,
+                sites=site_list,
+                fault_models=models,
+                seed=config.seed,
+                backend_id=backend_identity(self.backend.name, self.backend_factory),
+                unit_scope=config.unit_scope,
+                sample_size=config.sample_size,
+                max_instructions=config.max_instructions,
+                transient=transient,
+            )
+            self._resolved = _Identity(models=models, jobs=jobs, key=key, row=row)
+        return self._resolved
+
+    def store_key(self) -> str:
+        """The content key this campaign is (or would be) stored under —
+        exactly the key :meth:`run` commits under (see :meth:`_identity`)."""
+        return self._identity().key
 
     # -- execution ----------------------------------------------------------------------
 
     def run(
         self,
-        fault_models: Optional[Sequence[FaultModel]] = None,
-        sites: Optional[Sequence[FaultSite]] = None,
         progress: Optional[ProgressCallback] = None,
         store: Optional["CampaignStore"] = None,
     ) -> Dict[FaultModel, CampaignResult]:
@@ -476,43 +488,39 @@ class CampaignEngine:
         opened from ``config.store_path``) makes the campaign durable: jobs
         whose outcomes are already committed under this campaign's content
         key are served from the store and only the missing ones execute.
+        Without either, the run commits to a private in-memory store, so
+        every campaign takes the same path.
 
         With ``config.telemetry`` (the default) the run collects structured
         metrics into the process-local registry of :mod:`repro.obs` — reset
         at entry, so after the call the registry holds exactly this run's
-        metrics — and the durable path persists them as the campaign's run
-        manifest.
+        metrics — and persists them as the campaign's run manifest.
 
         A sharded run (``config.shards > 1``) needs a store: its slice is
         committed there and merged back by ``repro store merge``, and
         without one the slice would be returned as if it were the whole
         campaign.
         """
-        if (
-            self.config.shards > 1
-            and store is None
-            and self.config.store_path is None
-        ):
+        config = self.config
+        if config.shards > 1 and store is None and config.store_path is None:
             raise ValueError(
-                f"a sharded campaign (shards={self.config.shards}) needs a "
+                f"a sharded campaign (shards={config.shards}) needs a "
                 f"store to commit its slice to; pass store= or set "
                 f"config.store_path"
             )
         self._setup_telemetry()
-        owns_store = False
-        if store is None and self.config.store_path is not None:
-            # Imported lazily: the store subsystem sits beside the engine and
-            # only campaigns that opt into persistence pay for it.
+        owns_store = store is None
+        if store is None:
+            # Imported lazily: the store subsystem sits beside the engine.
             from repro.store import CampaignStore
 
-            store = CampaignStore(self.config.store_path)
-            owns_store = True
+            store = CampaignStore(
+                config.store_path if config.store_path is not None else ":memory:"
+            )
         self._arm_artifact_cache(store)
         try:
             with TELEMETRY.span("campaign.run") as span:
-                if store is None:
-                    return self._run_direct(fault_models, sites, progress, span)
-                return self._run_stored(store, fault_models, sites, progress, span)
+                return self._run(store, progress, span)
         finally:
             if owns_store:
                 store.close()
@@ -520,7 +528,7 @@ class CampaignEngine:
             if events is not None:
                 events.close()
 
-    def _arm_artifact_cache(self, store: Optional["CampaignStore"]) -> None:
+    def _arm_artifact_cache(self, store: "CampaignStore") -> None:
         """Point golden acquisition at *store*'s artifact cache (or away).
 
         Armed only for file-backed stores — pool workers open their own
@@ -530,7 +538,7 @@ class CampaignEngine:
         """
         self._artifact_store_path = None
         self._artifact_key = None
-        if store is None or store.path == ":memory:":
+        if store.path == ":memory:":
             return
         self._artifact_store_path = store.path
         self._artifact_key = self.artifact_address()
@@ -552,64 +560,21 @@ class CampaignEngine:
                     events.close()
                 TELEMETRY.events = EventLog(self.config.trace_path)
 
-    def _run_direct(
-        self,
-        fault_models: Optional[Sequence[FaultModel]],
-        sites: Optional[Sequence[FaultSite]],
-        progress: Optional[ProgressCallback],
-        span: Span,
-    ) -> Dict[FaultModel, CampaignResult]:
-        """The store-less (and therefore unsharded) path: plan, schedule,
-        aggregate in stream order."""
-        plan = self.plan(fault_models=fault_models, sites=sites)
-        TELEMETRY.inc("campaign.jobs_planned", plan.total_jobs)
-        TELEMETRY.inc("campaign.jobs_executed", plan.total_jobs)
-        golden = plan.golden
-        results = self._make_results(
-            plan.fault_models,
-            golden.instructions,
-            golden.cycles,
-            len(golden.transactions),
-        )
-
-        done = 0
-
-        def on_outcome(record: OutcomeRecord) -> None:
-            nonlocal done
-            done += 1
-            outcome = record.to_outcome()
-            results[record.job.fault_model].outcomes.append(outcome)
-            if progress is not None:
-                progress(done, plan.total_jobs, outcome)
-
-        scheduler = make_scheduler(
-            self.config.scheduler, self.config.n_workers, self.config.chunk_size
-        )
-        # Schedulers deliver outcomes in plan order (serial trivially; the
-        # pool via ordered imap), so the streamed appends above are already
-        # the canonical per-model result lists.
-        records = scheduler.execute(plan, on_outcome)
-        self._attribute_seconds(results, records, records, span)
-        return results
-
-    def _run_stored(
+    def _run(
         self,
         store: "CampaignStore",
-        fault_models: Optional[Sequence[FaultModel]],
-        sites: Optional[Sequence[FaultSite]],
         progress: Optional[ProgressCallback],
         span: Span,
     ) -> Dict[FaultModel, CampaignResult]:
-        """The durable path: serve committed outcomes, execute only the rest.
+        """Serve committed outcomes, execute only the rest.
 
         Stored and fresh records meet in a reorder buffer that folds them in
         job-index order, so the aggregated results are bit-identical to a
         single uninterrupted run whatever the commit pattern was.
         """
         config = self.config
-        models = self._models(fault_models)
-        site_list = list(sites) if sites is not None else self.select_sites()
-        jobs = self._plan_job_list(models, site_list)
+        identity = self._identity()
+        models, jobs = identity.models, identity.jobs
         # The shard's slice of the canonical plan (shards=1 selects all of
         # it).  The campaign row — key, config, total_jobs — always describes
         # the *full* plan: a shard is not a new campaign, it commits its
@@ -618,20 +583,7 @@ class CampaignEngine:
         # assembles every slice.
         my_jobs = select_shard(jobs, config.shards, config.shard_index)
         session = store.begin_campaign(
-            program=self.program,
-            sites=site_list,
-            fault_models=models,
-            seed=config.seed,
-            unit_scope=config.unit_scope,
-            sample_size=config.sample_size,
-            max_instructions=config.max_instructions,
-            backend_name=self.backend.name,
-            backend_factory=self.backend_factory,
-            total_jobs=len(jobs),
-            transient_jobs=(
-                cast(List[TransientJob], jobs) if config.transient else None
-            ),
-            transient_config=self._transient_meta() if config.transient else None,
+            key=identity.key, config=identity.row, total_jobs=len(jobs)
         )
         if config.shards > 1:
             lo, hi = shard_slice(len(jobs), config.shards, config.shard_index)
@@ -737,12 +689,9 @@ class CampaignEngine:
             for record in stored:
                 push(record)
             if remaining:
-                subplan = CampaignPlan(
+                plan = CampaignPlan(
                     program=self.program,
                     backend_factory=self.backend_factory,
-                    unit_scope=config.unit_scope,
-                    fault_models=models,
-                    sites=site_list,
                     jobs=remaining,
                     max_instructions=config.max_instructions,
                     backend=self.backend,
@@ -751,10 +700,9 @@ class CampaignEngine:
                     artifact_store_path=self._artifact_store_path,
                     artifact_key=self._artifact_key,
                 )
-                scheduler = make_scheduler(
-                    config.scheduler, config.n_workers, config.chunk_size
+                make_scheduler(config.scheduler, config.n_workers).execute(
+                    plan, on_outcome
                 )
-                scheduler.execute(subplan, on_outcome)
         finally:
             if commit_buffer:
                 session.commit(commit_buffer)
@@ -778,7 +726,7 @@ class CampaignEngine:
     def _build_manifest(self, span: Span) -> Dict[str, Any]:
         """This run's manifest: merged metrics + environment + wall clock.
 
-        Persisted by the durable path as a result-transparent artifact
+        Persisted to the run's store as a result-transparent artifact
         (``repro campaign metrics`` reads it back); the metrics snapshot is
         taken after every worker delta has been merged in.
         """
@@ -795,7 +743,6 @@ class CampaignEngine:
             "execution": {
                 "scheduler": config.scheduler,
                 "n_workers": config.n_workers,
-                "chunk_size": config.chunk_size,
                 "transient_windows": config.transient_windows,
                 "shards": config.shards,
                 "shard_index": config.shard_index,
@@ -844,19 +791,6 @@ class CampaignEngine:
             model_seconds[record.job.fault_model] += record.seconds
         for model, result in results.items():
             result.simulation_seconds = model_seconds[model] + overhead
-
-    def run_model(
-        self,
-        fault_model: FaultModel,
-        sites: Optional[Sequence[FaultSite]] = None,
-        progress: Optional[ProgressCallback] = None,
-        store: Optional["CampaignStore"] = None,
-    ) -> CampaignResult:
-        """Run the campaign for a single fault model."""
-        return self.run(
-            fault_models=[fault_model], sites=sites, progress=progress, store=store
-        )[fault_model]
-
 
 def reference_run_seconds(
     program: Program,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Union
 
 from repro.faultinjection.comparison import FailureClass
 from repro.faultinjection.results import InjectionOutcome
@@ -21,6 +21,9 @@ from repro.rtl.faults import FaultModel, PermanentFault, TransientFault
 from repro.rtl.sites import FaultSite
 
 from repro.engine.backend import ExecutionBackend, RunResult
+
+if TYPE_CHECKING:
+    from repro.engine.checkpoint import _CheckpointRunnerBase
 
 
 @dataclass(frozen=True)
@@ -98,19 +101,18 @@ class CampaignPlan:
 
     program: Program
     backend_factory: Callable[[], ExecutionBackend]
-    unit_scope: str
-    fault_models: Tuple[FaultModel, ...]
-    sites: List[FaultSite]
     jobs: List[CampaignJob]
     max_instructions: int
     #: Planner-local backend with the program prepared (not sent to workers).
     backend: ExecutionBackend
     #: Golden (fault-free) run of the planner-local backend.
     golden: RunResult
-    #: Planner-local checkpoint runner whose ladder recording produced
-    #: ``golden`` (not sent to workers; the serial scheduler reuses it so a
-    #: transient campaign pays for exactly one golden execution).
-    runner: Optional[object] = None
+    #: Planner-local checkpoint runner of a transient plan, whose ladder
+    #: recording produced ``golden`` (not sent to workers; the serial
+    #: scheduler forks from it, so a transient campaign pays for exactly one
+    #: golden execution).  ``None`` for permanent plans and backends without
+    #: snapshot support.
+    runner: Optional["_CheckpointRunnerBase"] = None
     #: Store path of the golden-artifact cache (``None`` disables it).  Pool
     #: workers open their own read connection here during init and load the
     #: golden recording instead of re-executing it (publishing idempotently
@@ -125,10 +127,6 @@ class CampaignPlan:
     def transient(self) -> bool:
         """True when the plan holds transient jobs (one job kind per plan)."""
         return bool(self.jobs) and isinstance(self.jobs[0], TransientJob)
-
-    @property
-    def total_jobs(self) -> int:
-        return len(self.jobs)
 
 
 def plan_jobs(

@@ -113,20 +113,6 @@ def execute_jobs(
         yield execute_job(backend, golden, budget, job, runner=runner)
 
 
-def plan_runner(
-    plan: CampaignPlan, backend: ExecutionBackend
-) -> Optional["_CheckpointRunnerBase"]:
-    """The checkpoint runner for *plan*'s transient jobs (``None`` for
-    permanent plans or backends without snapshot support).  Reuses the
-    planner's runner when the plan carries one — its ladder recording was
-    the golden run, so nothing re-executes."""
-    if not plan.transient:
-        return None
-    if plan.runner is not None:
-        return cast("_CheckpointRunnerBase", plan.runner)
-    return make_checkpoint_runner(backend, plan.max_instructions)
-
-
 class SerialScheduler:
     """Run jobs one after another on the planner's backend."""
 
@@ -142,9 +128,10 @@ class SerialScheduler:
         self, plan: CampaignPlan, on_outcome: Optional[OutcomeCallback]
     ) -> List[OutcomeRecord]:
         budget = watchdog_budget(plan.golden.instructions)
-        runner = plan_runner(plan, plan.backend)
         records: List[OutcomeRecord] = []
-        for record in execute_jobs(plan.backend, plan.golden, budget, plan.jobs, runner):
+        for record in execute_jobs(
+            plan.backend, plan.golden, budget, plan.jobs, plan.runner
+        ):
             records.append(record)
             if on_outcome is not None:
                 on_outcome(record)
@@ -294,19 +281,18 @@ def _run_batch(
 
 
 def chunk_jobs(
-    jobs: Sequence[CampaignJob], n_workers: int, chunk_size: Optional[int] = None
+    jobs: Sequence[CampaignJob], n_workers: int
 ) -> List[List[CampaignJob]]:
     """Split *jobs* into contiguous batches for the pool.
 
-    The default batch size targets a few batches per worker — large enough to
+    The batch size targets a few batches per worker — large enough to
     amortise IPC, small enough to keep the pool balanced and the progress
     stream flowing.
     """
     if not jobs:
         return []
-    if chunk_size is None:
-        chunk_size = max(1, min(32, -(-len(jobs) // (n_workers * 4))))
-    return [list(jobs[i : i + chunk_size]) for i in range(0, len(jobs), chunk_size)]
+    size = max(1, min(32, -(-len(jobs) // (n_workers * 4))))
+    return [list(jobs[i : i + size]) for i in range(0, len(jobs), size)]
 
 
 class MultiprocessingScheduler:
@@ -314,11 +300,10 @@ class MultiprocessingScheduler:
 
     name = "process"
 
-    def __init__(self, n_workers: int, chunk_size: Optional[int] = None):
+    def __init__(self, n_workers: int):
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
         self.n_workers = n_workers
-        self.chunk_size = chunk_size
 
     def execute(
         self, plan: CampaignPlan, on_outcome: Optional[OutcomeCallback] = None
@@ -329,7 +314,7 @@ class MultiprocessingScheduler:
     def _execute(
         self, plan: CampaignPlan, on_outcome: Optional[OutcomeCallback]
     ) -> List[OutcomeRecord]:
-        batches = chunk_jobs(plan.jobs, self.n_workers, self.chunk_size)
+        batches = chunk_jobs(plan.jobs, self.n_workers)
         if not batches:
             return []
         records: List[OutcomeRecord] = []
@@ -358,9 +343,7 @@ class MultiprocessingScheduler:
 
 
 def make_scheduler(
-    scheduler: Optional[str] = None,
-    n_workers: int = 1,
-    chunk_size: Optional[int] = None,
+    scheduler: Optional[str] = None, n_workers: int = 1
 ) -> Union[SerialScheduler, MultiprocessingScheduler]:
     """Resolve a scheduler from a name plus a worker count.
 
@@ -371,7 +354,7 @@ def make_scheduler(
     if scheduler == "serial":
         return SerialScheduler()
     if scheduler == "process":
-        return MultiprocessingScheduler(max(1, n_workers), chunk_size=chunk_size)
+        return MultiprocessingScheduler(max(1, n_workers))
     raise ValueError(
         f"unknown scheduler {scheduler!r} (expected one of {KNOWN_SCHEDULERS})"
     )

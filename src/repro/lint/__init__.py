@@ -14,7 +14,7 @@ Rules (see :mod:`repro.lint.rules` and ``docs/determinism.md``):
   ``os.urandom``/``uuid``, and hash-order-sensitive set iteration in
   simulator/engine code.
 * **R002 key transparency** — every ``CampaignConfig`` field must either
-  feed the ``store_key()`` payload or be listed in the
+  feed the campaign key (``CampaignEngine._identity()``) or be listed in the
   ``RESULT_TRANSPARENT`` registry of ``repro/store/keys.py``.
 * **R003 picklability** — no lambdas, nested functions or local classes in
   job/plan dataclass fields or scheduler submissions.

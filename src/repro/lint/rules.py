@@ -78,9 +78,9 @@ SUBMISSION_METHODS = frozenset(
 )
 
 #: Methods whose derivation defines which ``CampaignConfig`` fields are
-#: part of the store key (R002): the key payload itself, the transient
-#: window metadata, and the result-bucket expansion it hashes.
-KEYED_METHODS = frozenset({"store_key", "_transient_meta", "_models"})
+#: part of the store key (R002): the engine method that derives a campaign's
+#: key and stored configuration row.
+KEYED_METHODS = frozenset({"_identity"})
 
 #: Name of the result-transparency registry R002 looks for (store/keys.py).
 TRANSPARENT_REGISTRY = "RESULT_TRANSPARENT"

@@ -231,37 +231,17 @@ def _progress_printer(
     return progress
 
 
-def _key_for(
-    engine: CampaignEngine, config: CampaignConfig, program: Program
-) -> str:
-    """The content key this engine's campaign will be stored under."""
-    return engine.store_key()
-
-
-def _run_engine(
-    store: CampaignStore,
-    config: CampaignConfig,
-    program: Program,
-    backend: str,
-    quiet: bool,
-) -> int:
+def _run_engine(store: CampaignStore, engine: CampaignEngine, quiet: bool) -> int:
     """Run one store-backed campaign and report Pf + cache statistics."""
     before = store.counters()
-    engine = CampaignEngine(
-        program, config, backend_factory=BACKEND_FACTORIES[backend]
-    )
     progress = None if quiet else _progress_printer()
     engine.run(progress=progress, store=store)
-    # Derived *after* the run: transient key planning records the golden
-    # checkpoint ladder, which should happen inside run() where telemetry is
-    # live (the derivation is deterministic, so the key is the same either
-    # way — run() stored the campaign under exactly this key).
-    key = _key_for(engine, config, program)
     after = store.counters()
     executed = after["jobs_executed"] - before["jobs_executed"]
     cached = after["jobs_cached"] - before["jobs_cached"]
 
-    info = store.campaign_info(key)
+    config = engine.config
+    info = store.campaign_info(engine.store_key())
     print(f"campaign {info.key[:12]} ({info.workload}, {info.unit_scope}, "
           f"{info.backend}, seed {info.seed})")
     print(f"  executed {executed} injections, served {cached} from the store")
@@ -308,7 +288,6 @@ def cmd_campaign_run(args: argparse.Namespace) -> int:
         seed=args.seed,
         max_instructions=args.max_instructions,
         n_workers=args.workers,
-        chunk_size=args.chunk_size,
         resume=not args.no_resume,
         transient_windows=args.transient,
         transient_duration=args.duration,
@@ -317,8 +296,11 @@ def cmd_campaign_run(args: argparse.Namespace) -> int:
         shards=args.shards,
         shard_index=args.shard_index,
     )
+    engine = CampaignEngine(
+        program, config, backend_factory=BACKEND_FACTORIES[args.backend]
+    )
     with _open_store(args.store) as store:
-        return _run_engine(store, config, program, args.backend, args.quiet)
+        return _run_engine(store, engine, args.quiet)
 
 
 def cmd_campaign_resume(args: argparse.Namespace) -> int:
@@ -329,13 +311,6 @@ def cmd_campaign_resume(args: argparse.Namespace) -> int:
         if backend not in BACKEND_FACTORIES:
             raise CliError(f"campaign {info.key[:12]} used unknown backend {backend!r}")
         program = _build_workload(config_json["workload"])
-        transient = config_json.get("transient") or {}
-        if transient:
-            # Transient planning derives its single result bucket itself;
-            # the stored ["transient"] list only describes the outcomes.
-            fault_models = list(ALL_FAULT_MODELS)
-        else:
-            fault_models = [FaultModel(v) for v in config_json["fault_models"]]
         # A store holding exactly one shard slice resumes as that shard (it
         # was created by `campaign run --shards N --shard-index i` and only
         # its slice belongs here); anything else — unsharded stores, merged
@@ -346,32 +321,28 @@ def cmd_campaign_resume(args: argparse.Namespace) -> int:
         if len(shard_rows) == 1:
             shards = shard_rows[0].shard_count
             shard_index = shard_rows[0].shard_index
-        config = CampaignConfig(
-            unit_scope=config_json["unit_scope"],
-            sample_size=config_json["sample_size"],
-            fault_models=fault_models,
-            seed=config_json["seed"],
-            max_instructions=config_json["max_instructions"],
+        config = CampaignConfig.from_row(
+            config_json,
             n_workers=args.workers,
             resume=True,
-            transient_windows=transient.get("windows"),
-            transient_duration=transient.get("duration", 1),
             shards=shards,
             shard_index=shard_index,
         )
         # The campaign is only resumable if the registry still builds the
         # exact program (and site sample) the key was derived from.
         factory = BACKEND_FACTORIES[backend]
-        engine = CampaignEngine(program, config, backend_factory=factory)
-        rebuilt_key = _key_for(engine, config, program)
-        if rebuilt_key != info.key:
+        if CampaignEngine(program, config, factory).store_key() != info.key:
             raise CliError(
                 f"campaign {info.key[:12]} cannot be rebuilt from workload "
                 f"{config_json['workload']!r} (it was created from a customised "
                 f"program or an older code version); resume it through the "
                 f"Python API that created it"
             )
-        return _run_engine(store, config, program, backend, args.quiet)
+        # A fresh engine runs it: deriving a transient key records the
+        # golden, which belongs inside run(), where telemetry is live and
+        # the golden-artifact cache is armed.
+        engine = CampaignEngine(program, config, factory)
+        return _run_engine(store, engine, args.quiet)
 
 
 def _aggregate_breakdown(store: CampaignStore, key: str) -> str:
@@ -760,8 +731,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=2015)
     run.add_argument("--workers", type=int, default=1,
                      help="worker processes (default: 1, serial)")
-    run.add_argument("--chunk-size", type=int, default=None,
-                     help="jobs per scheduler batch")
     run.add_argument("--max-instructions", type=int, default=400_000)
     run.add_argument("--no-resume", action="store_true",
                      help="re-execute even if outcomes are already stored")
@@ -904,7 +873,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.handler(args)
     except (CliError, StoreError, ValueError) as error:
         # ValueError covers CampaignConfig's eager validation (bad --workers,
-        # --chunk-size, --sites, ...): surface it as a clean CLI error.
+        # --sites, --shards, ...): surface it as a clean CLI error.
         # CliError carries its exit code (2 = unusable store database);
         # everything else is an operational failure (1).
         print(f"repro: error: {error}", file=sys.stderr)

@@ -7,8 +7,8 @@ budget, watchdog parameters, unit scope).  Two campaigns with the same key
 are guaranteed to produce bit-identical ``Pf`` breakdowns — schedulers are
 result-transparent — so the key is a safe cache address for stored outcomes.
 
-Deliberately *not* part of the key: ``n_workers``, ``scheduler`` and
-``chunk_size`` (execution strategy, not results), ``store_path``/``resume``
+Deliberately *not* part of the key: ``n_workers`` and ``scheduler``
+(execution strategy, not results), ``store_path``/``resume``
 (persistence plumbing), wall-clock timing, and the
 ``telemetry``/``trace_path`` observability switches (metrics and trace
 events describe *how* a run executed and never feed back into what it
@@ -108,7 +108,7 @@ KEY_VERSION = 1
 #: the explicit registry behind reprolint's R002 key-transparency rule.
 #:
 #: Every ``CampaignConfig`` field must either feed the campaign key (be read
-#: by ``store_key()`` / ``_transient_meta()`` / ``_models()``) or appear here,
+#: by ``CampaignEngine._identity()``, which derives key and row) or appear here,
 #: asserting that it can never change a stored outcome.  A field in neither
 #: place is a potential cache poisoner: two campaigns that differ in it would
 #: share a key while possibly disagreeing on results.  When a new config field
@@ -120,7 +120,6 @@ RESULT_TRANSPARENT = frozenset(
     {
         "n_workers",
         "scheduler",
-        "chunk_size",
         "store_path",
         "resume",
         "telemetry",

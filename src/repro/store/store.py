@@ -33,18 +33,16 @@ import json
 import sqlite3
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.engine.jobs import InjectionJob, OutcomeRecord, TransientJob
 from repro.faultinjection.comparison import FailureClass
-from repro.isa.assembler import Program
 from repro.rtl.faults import FaultModel
 from repro.rtl.sites import FaultSite
 
 from repro.obs.clock import utc_isoformat, wallclock
 from repro.obs.telemetry import TELEMETRY
 
-from repro.store.keys import backend_identity, campaign_key, transient_token
 from repro.store.schema import StoreError, apply_schema
 
 __all__ = [
@@ -157,55 +155,15 @@ class CampaignStore:
     # -- campaign sessions (engine hook) ------------------------------------------
 
     def begin_campaign(
-        self,
-        *,
-        program: Program,
-        sites: Sequence[FaultSite],
-        fault_models: Sequence[FaultModel],
-        seed: int,
-        unit_scope: str,
-        sample_size: Optional[int],
-        max_instructions: int,
-        backend_name: str,
-        backend_factory: Callable[[], object],
-        total_jobs: int,
-        transient_jobs: Optional[Sequence[TransientJob]] = None,
-        transient_config: Optional[Dict[str, Any]] = None,
+        self, *, key: str, config: Dict[str, Any], total_jobs: int
     ) -> "CampaignSession":
-        """Open (or create) the campaign row for this exact plan content.
+        """Open (or create) the campaign row *key*.
 
-        Transient campaigns pass their planned job list and window
-        parameters; both extend the content key (so a transient campaign can
-        never alias a permanent one) and the stored configuration (so the CLI
-        can rebuild the plan for ``repro campaign resume``).
+        *key* and *config* — the stored configuration row, which the CLI
+        rebuilds campaigns from for ``repro campaign resume`` — are derived
+        by the engine (:meth:`~repro.engine.campaign.CampaignEngine.store_key`);
+        the store only persists them.
         """
-        backend_id = backend_identity(backend_name, backend_factory)
-        transient: Optional[Dict[str, Any]] = None
-        if transient_jobs is not None:
-            transient = dict(transient_config or {})
-            transient["jobs"] = [transient_token(job) for job in transient_jobs]
-        key = campaign_key(
-            program=program,
-            sites=sites,
-            fault_models=fault_models,
-            seed=seed,
-            backend_id=backend_id,
-            unit_scope=unit_scope,
-            sample_size=sample_size,
-            max_instructions=max_instructions,
-            transient=transient,
-        )
-        config: Dict[str, Any] = {
-            "workload": program.name,
-            "unit_scope": unit_scope,
-            "sample_size": sample_size,
-            "seed": seed,
-            "max_instructions": max_instructions,
-            "fault_models": [model.value for model in fault_models],
-            "backend": backend_name,
-        }
-        if transient_config is not None:
-            config["transient"] = dict(transient_config)
         now = _utcnow()
         with self._conn:
             self._conn.execute(
@@ -219,12 +177,12 @@ class CampaignStore:
                 """,
                 (
                     key,
-                    program.name,
-                    unit_scope,
-                    backend_name,
-                    seed,
-                    sample_size,
-                    max_instructions,
+                    config["workload"],
+                    config["unit_scope"],
+                    config["backend"],
+                    config["seed"],
+                    config["sample_size"],
+                    config["max_instructions"],
                     json.dumps(config["fault_models"]),
                     total_jobs,
                     json.dumps(config, sort_keys=True),

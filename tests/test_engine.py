@@ -20,6 +20,7 @@ from repro.engine.schedulers import chunk_jobs
 from repro.faultinjection.comparison import FailureClass, compare_runs
 from repro.isa.assembler import assemble
 from repro.rtl.faults import ALL_FAULT_MODELS, FaultModel, PermanentFault
+from repro.store import CampaignStore
 
 #: A program whose loop counter goes through the ALU adder: stuck-at-0 on the
 #: adder's sum bit 0 turns `inc` into a no-op and the loop never terminates,
@@ -123,26 +124,51 @@ class TestBackends:
             )
 
 
+class _CountingRtlBackend(Leon3RtlBackend):
+    """RTL backend that counts its fault-free (golden) runs."""
+
+    golden_runs = 0
+
+    def run(self, max_instructions, faults=()):
+        faults = list(faults)
+        if not faults:
+            type(self).golden_runs += 1
+        return super().run(max_instructions=max_instructions, faults=faults)
+
+
 class TestPlanning:
     def test_jobs_enumerate_models_over_shared_sites(self, small_program):
         engine = CampaignEngine(
             small_program,
             CampaignConfig(unit_scope="iu", sample_size=5, seed=1),
         )
-        plan = engine.plan()
-        assert plan.total_jobs == 5 * len(ALL_FAULT_MODELS)
-        assert [job.index for job in plan.jobs] == list(range(plan.total_jobs))
-        for model in ALL_FAULT_MODELS:
-            model_sites = [j.site for j in plan.jobs if j.fault_model is model]
-            assert model_sites == plan.sites
+        with CampaignStore(":memory:") as store:
+            engine.run(store=store)
+            records = store.stored_records(engine.store_key())
+        sites = engine.select_sites()
+        assert len(sites) == 5
+        total = 5 * len(ALL_FAULT_MODELS)
+        assert [record.job.index for record in records] == list(range(total))
+        # Models vary in the outer loop, each over the same site list.
+        assert [record.job.fault_model for record in records] == [
+            model for model in ALL_FAULT_MODELS for _ in sites
+        ]
+        assert [record.job.site for record in records] == sites * len(
+            ALL_FAULT_MODELS
+        )
 
     def test_plan_reuses_one_golden_run(self, small_program):
+        _CountingRtlBackend.golden_runs = 0
         engine = CampaignEngine(
-            small_program, CampaignConfig(unit_scope="iu", sample_size=3)
+            small_program,
+            CampaignConfig(unit_scope="iu", sample_size=3),
+            backend_factory=_CountingRtlBackend,
         )
-        first = engine.plan()
-        second = engine.plan()
-        assert first.golden is second.golden
+        engine.run()
+        key = engine.store_key()
+        assert engine.golden_run() is engine.golden_run()
+        assert engine.store_key() == key
+        assert _CountingRtlBackend.golden_runs == 1
 
     def test_chunk_jobs_covers_all_jobs_in_order(self):
         jobs = plan_jobs(
@@ -151,14 +177,25 @@ class TestPlanning:
             workload="w",
         )
         assert chunk_jobs(jobs, n_workers=4) == []
-        jobs = [
-            InjectionJob(index=i, site=None, fault_model=FaultModel.STUCK_AT_1,
-                         workload="w")
-            for i in range(10)
-        ]
-        batches = chunk_jobs(jobs, n_workers=3, chunk_size=4)
-        assert [len(batch) for batch in batches] == [4, 4, 2]
-        assert [job.index for batch in batches for job in batch] == list(range(10))
+
+        def jobs_of(count):
+            return [
+                InjectionJob(index=i, site=None, fault_model=FaultModel.STUCK_AT_1,
+                             workload="w")
+                for i in range(count)
+            ]
+
+        # A few batches per worker: the scheduler tests' 12 jobs on 2 workers
+        # run as 6 batches of 2, so every worker serves several batches.
+        batches = chunk_jobs(jobs_of(12), n_workers=2)
+        assert [len(batch) for batch in batches] == [2] * 6
+        assert [job.index for batch in batches for job in batch] == list(range(12))
+        # Large plans cap the batch size at 32.
+        batches = chunk_jobs(jobs_of(1000), n_workers=2)
+        assert [len(batch) for batch in batches] == [32] * 31 + [8]
+        assert [job.index for batch in batches for job in batch] == list(
+            range(1000)
+        )
 
     def test_make_scheduler_auto_selects(self):
         assert isinstance(make_scheduler(None, 1), SerialScheduler)
@@ -180,9 +217,10 @@ class TestSchedulers:
         return CampaignConfig(**defaults)
 
     def test_serial_and_multiprocessing_results_identical(self, small_program):
+        # 12 jobs on 2 workers: several batches per worker (see chunk_jobs).
         serial = CampaignEngine(small_program, self._config(n_workers=1)).run()
         parallel = CampaignEngine(
-            small_program, self._config(n_workers=2, chunk_size=3)
+            small_program, self._config(n_workers=2)
         ).run()
         assert serial.keys() == parallel.keys()
         for model in serial:
@@ -200,7 +238,7 @@ class TestSchedulers:
         assert seen == [(i, total) for i in range(1, total + 1)]
 
     def test_pool_campaign_reports(self, small_program):
-        config = self._config(n_workers=2, chunk_size=4)
+        config = self._config(n_workers=2)
         results = CampaignEngine(small_program, config).run()
         result = results[FaultModel.STUCK_AT_1]
         assert result.injections == 6
@@ -239,10 +277,19 @@ class TestWatchdog:
         assert compare_runs(golden, starved).failure_class is FailureClass.HANG
 
     def test_hang_classified_through_engine_campaign(self, loop_program):
-        engine = CampaignEngine(loop_program, CampaignConfig(unit_scope="iu"))
+        # Seed 120 samples exactly the adder's sum bit 0 from its unit.
+        config = CampaignConfig(
+            unit_scope="iu.alu.adder",
+            sample_size=1,
+            fault_models=[FaultModel.STUCK_AT_0],
+            seed=120,
+        )
+        engine = CampaignEngine(loop_program, config)
         site = engine.backend.core.netlist.site_for("alu.adder.sum", 0)
-        result = engine.run_model(FaultModel.STUCK_AT_0, sites=[site])
+        assert engine.select_sites() == [site]
+        result = engine.run()[FaultModel.STUCK_AT_0]
         assert result.injections == 1
+        assert result.outcomes[0].fault.site == site
         assert result.classification_histogram() == {FailureClass.HANG: 1}
         budget = watchdog_budget(engine.golden_run().instructions)
         assert result.outcomes[0].faulty_instructions == budget
@@ -277,12 +324,22 @@ flag:
         from repro.rtl.sites import FaultSite
 
         program = assemble(self.POISONED_SOURCE, name="poisoned")
+        # Seed 1232 samples exactly bit 0 of %o0 (r8).
         config = CampaignConfig(
-            unit_scope=ARCH_REGFILE_UNIT, sample_size=1, max_instructions=10_000
+            unit_scope=ARCH_REGFILE_UNIT,
+            sample_size=1,
+            fault_models=[FaultModel.STUCK_AT_1],
+            seed=1232,
+            max_instructions=10_000,
         )
         engine = CampaignEngine(program, config, backend_factory=backend_factory)
         site = FaultSite(net="regfile", bit=0, unit=ARCH_REGFILE_UNIT, index=8)
-        return engine.run(fault_models=[FaultModel.STUCK_AT_1], sites=[site])
+        assert engine.select_sites() == [site]
+        results = engine.run()
+        assert [o.fault.site for o in results[FaultModel.STUCK_AT_1].outcomes] == [
+            site
+        ]
+        return results
 
     def test_reference_interpreter_poisoned_job_yields_trap(self, monkeypatch):
         from repro.iss.emulator import Emulator, SimulationError

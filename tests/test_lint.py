@@ -149,7 +149,7 @@ R002_CONFIG = (
     "{extra}"
     "\n"
     "class Campaign:\n"
-    "    def store_key(self):\n"
+    "    def _identity(self):\n"
     "        config = self.config\n"
     "        return config.seed\n"
 )

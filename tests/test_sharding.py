@@ -350,7 +350,7 @@ class TestShardedExecution:
             path = str(tmp_path / f"shard{shard_index}.sqlite")
             paths.append(path)
             config = _iss_config(
-                store_path=path, shards=3, shard_index=shard_index, chunk_size=2
+                store_path=path, shards=3, shard_index=shard_index
             )
             engine = CampaignEngine(program, config, backend_factory=IssBackend)
             if shard_index == 1:
@@ -485,7 +485,6 @@ class TestShardedExecutionProperties:
                 store_path=path,
                 shards=shards,
                 shard_index=shard_index,
-                chunk_size=2,
             )
             engine = CampaignEngine(program, config, backend_factory=IssBackend)
             if shard_index == killed_shard:

@@ -11,13 +11,15 @@ The two acceptance properties of the subsystem live here:
 """
 
 import dataclasses
+import json
 
 import pytest
 
 from conftest import SMALL_PROGRAM_SOURCE
 
 from repro.core.experiments import figure5_iu_faults, table1_characterization
-from repro.engine import CampaignConfig, CampaignEngine
+from repro.engine import CampaignConfig, CampaignEngine, IssBackend, Leon3RtlBackend
+from repro.engine.checkpoint import IssCheckpointRunner, RtlCheckpointRunner
 from repro.isa.assembler import assemble
 from repro.rtl.faults import ALL_FAULT_MODELS, FaultModel
 from repro.store import CampaignStore, StoreError, campaign_key, memo_key
@@ -83,10 +85,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="n_workers"):
             CampaignConfig(n_workers=-2)
 
-    def test_rejects_zero_chunk_size(self):
-        with pytest.raises(ValueError, match="chunk_size"):
-            CampaignConfig(chunk_size=0)
-
     def test_rejects_unknown_scheduler(self):
         with pytest.raises(ValueError, match="scheduler"):
             CampaignConfig(scheduler="threads")
@@ -101,7 +99,7 @@ class TestConfigValidation:
 
     def test_accepts_valid_config(self):
         config = CampaignConfig(
-            n_workers=4, chunk_size=8, scheduler="process", sample_size=None
+            n_workers=4, scheduler="process", sample_size=None
         )
         assert config.n_workers == 4
 
@@ -170,6 +168,132 @@ class TestStoreRoundTrip:
                 store.resolve_key("zz")
 
 
+def _count_golden_executions(monkeypatch):
+    """Count every fault-free execution from here on: plain golden runs of
+    either backend and checkpoint-ladder recordings."""
+    executions = []
+    for backend in (Leon3RtlBackend, IssBackend):
+
+        def run(self, max_instructions, faults=(), _run=backend.run):
+            faults = list(faults)
+            if not faults:
+                executions.append(self.name)
+            return _run(self, max_instructions=max_instructions, faults=faults)
+
+        monkeypatch.setattr(backend, "run", run)
+    for runner in (IssCheckpointRunner, RtlCheckpointRunner):
+
+        def record(self, _record=runner._record_ladder):
+            executions.append("ladder")
+            return _record(self)
+
+        monkeypatch.setattr(runner, "_record_ladder", record)
+    return executions
+
+
+#: (backend factory, config) of every campaign flavour the store keys.
+KEYED_CAMPAIGNS = {
+    "rtl-permanent-iu": (Leon3RtlBackend, {"unit_scope": "iu", "sample_size": 4}),
+    "rtl-transient": (
+        Leon3RtlBackend,
+        {"unit_scope": "iu", "sample_size": 3, "transient_windows": 2},
+    ),
+    "iss-transient": (
+        IssBackend,
+        {"unit_scope": "arch.regfile", "sample_size": 3, "transient_windows": 2},
+    ),
+    "rtl-shard-1-of-3": (
+        Leon3RtlBackend,
+        {"unit_scope": "iu", "sample_size": 4, "shards": 3, "shard_index": 1},
+    ),
+}
+
+
+class TestKeyParity:
+    """``run()`` commits under exactly the key ``store_key()`` reports —
+    before or after the run — and reading it back costs no second golden."""
+
+    @pytest.mark.parametrize("name", list(KEYED_CAMPAIGNS))
+    def test_run_commits_under_store_key(
+        self, name, small_program, store_path, monkeypatch
+    ):
+        factory, overrides = KEYED_CAMPAIGNS[name]
+        config = CampaignConfig(seed=5, **overrides)
+        before = CampaignEngine(
+            small_program, config, backend_factory=factory
+        ).store_key()
+        executions = _count_golden_executions(monkeypatch)
+        engine = CampaignEngine(small_program, config, backend_factory=factory)
+        with CampaignStore(store_path) as store:
+            engine.run(store=store)
+            assert len(executions) == 1
+            after = engine.store_key()
+            assert len(executions) == 1
+            assert [info.key for info in store.list_campaigns()] == [before]
+        assert after == before
+
+
+class TestStoredRowCompatibility:
+    """The campaign row is written exactly as earlier stores hold it, so
+    their campaigns keep serving cache hits and resuming through the CLI."""
+
+    ROWS = {
+        "permanent": (
+            Leon3RtlBackend,
+            {
+                "unit_scope": "iu",
+                "sample_size": 4,
+                "fault_models": [FaultModel.STUCK_AT_1, FaultModel.STUCK_AT_0],
+                "seed": 11,
+            },
+            "2f2a582e1092b6c319d5942943745d3835d39796d15493a1237634485ca4044b",
+            '{"backend": "rtl", "fault_models": ["stuck_at_1", "stuck_at_0"], '
+            '"max_instructions": 400000, "sample_size": 4, "seed": 11, '
+            '"unit_scope": "iu", "workload": "small"}',
+            8,
+        ),
+        "transient": (
+            IssBackend,
+            {
+                "unit_scope": "arch.regfile",
+                "sample_size": 3,
+                "seed": 5,
+                "transient_windows": 2,
+            },
+            "4f1564c8f73f8a21ffb610488c4f89d82879c1c9de133e7b17fc725e056dc96a",
+            '{"backend": "iss", "fault_models": ["transient"], '
+            '"max_instructions": 400000, "sample_size": 3, "seed": 5, '
+            '"transient": {"duration": 1, "unit": "instructions", "windows": 2}, '
+            '"unit_scope": "arch.regfile", "workload": "small"}',
+            6,
+        ),
+    }
+
+    @pytest.mark.parametrize("name", list(ROWS))
+    def test_row_bytes_are_pinned(self, name, small_program, store_path):
+        factory, overrides, key, config_json, total_jobs = self.ROWS[name]
+        config = CampaignConfig(**overrides)
+        engine = CampaignEngine(small_program, config, backend_factory=factory)
+        with CampaignStore(store_path) as store:
+            engine.run(store=store)
+            row = store._conn.execute(
+                "SELECT * FROM campaigns WHERE key = ?", (key,)
+            ).fetchone()
+        assert row is not None
+        assert row["config_json"] == config_json
+        assert row["total_jobs"] == total_jobs
+        stored = json.loads(config_json)
+        assert row["workload"] == stored["workload"]
+        assert row["unit_scope"] == stored["unit_scope"]
+        assert row["backend"] == stored["backend"]
+        assert row["seed"] == stored["seed"]
+        assert row["sample_size"] == stored["sample_size"]
+        assert row["max_instructions"] == stored["max_instructions"]
+        assert json.loads(row["fault_models"]) == stored["fault_models"]
+        # The row rebuilds the campaign it was written from.
+        assert CampaignConfig.from_row(stored) == config
+
+
 class TestResume:
     def test_interrupted_then_resumed_is_bit_identical(
         self, small_program, store_path
@@ -199,7 +323,7 @@ class TestResume:
     ):
         baseline = CampaignEngine(small_program, _config()).run()
         engine = CampaignEngine(
-            small_program, _config(store_path, n_workers=2, chunk_size=2)
+            small_program, _config(store_path, n_workers=2)
         )
         with pytest.raises(Interrupted):
             engine.run(progress=_interrupt_after(3))

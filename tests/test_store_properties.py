@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from conftest import SMALL_PROGRAM_SOURCE
 
-from repro.engine import Leon3RtlBackend, shard_token
+from repro.engine import shard_token
 from repro.isa.assembler import assemble
 from repro.rtl.faults import FaultModel
 from repro.rtl.sites import FaultSite
@@ -190,6 +190,31 @@ def _write_v1_store(path):
     conn.close()
 
 
+def _begin_bare_campaign(store, program, seed):
+    """Open a two-job permanent campaign row, keyed by *seed*, with no
+    outcomes committed."""
+    key = campaign_key(
+        program=program,
+        sites=[],
+        fault_models=[FaultModel.STUCK_AT_1],
+        seed=seed,
+        backend_id="rtl:repro.engine.backend.Leon3RtlBackend",
+        unit_scope="iu",
+        sample_size=None,
+        max_instructions=400_000,
+    )
+    config = {
+        "workload": program.name,
+        "unit_scope": "iu",
+        "sample_size": None,
+        "seed": seed,
+        "max_instructions": 400_000,
+        "fault_models": [FaultModel.STUCK_AT_1.value],
+        "backend": "rtl",
+    }
+    return store.begin_campaign(key=key, config=config, total_jobs=2)
+
+
 class TestSchemaMigration:
     def test_v1_store_migrates_in_place_and_round_trips(self, tmp_path):
         path = str(tmp_path / "v1.sqlite")
@@ -255,18 +280,7 @@ class TestSchemaMigration:
         campaign data untouched and the artifact cache immediately usable."""
         path = str(tmp_path / "v4.sqlite")
         with CampaignStore(path) as store:
-            session = store.begin_campaign(
-                program=small_program,
-                sites=[],
-                fault_models=[FaultModel.STUCK_AT_1],
-                seed=7,
-                unit_scope="iu",
-                sample_size=None,
-                max_instructions=400_000,
-                backend_name="rtl",
-                backend_factory=Leon3RtlBackend,
-                total_jobs=2,
-            )
+            session = _begin_bare_campaign(store, small_program, seed=7)
             session.put_manifest({"manifest_version": 1})
             session.mark_complete()
             key = session.key
@@ -311,18 +325,7 @@ class TestSchemaMigration:
 
 class TestGcReachability:
     def _begin(self, store, program, seed):
-        return store.begin_campaign(
-            program=program,
-            sites=[],
-            fault_models=[FaultModel.STUCK_AT_1],
-            seed=seed,
-            unit_scope="iu",
-            sample_size=None,
-            max_instructions=400_000,
-            backend_name="rtl",
-            backend_factory=Leon3RtlBackend,
-            total_jobs=2,
-        )
+        return _begin_bare_campaign(store, program, seed)
 
     @settings(max_examples=25, deadline=None)
     @given(
