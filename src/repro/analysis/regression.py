@@ -4,7 +4,10 @@ Figure 7 of the paper fits the failure probability against instruction
 diversity with a logarithmic law ``Pf = a * ln(D) + b`` and reports the
 coefficient of determination (``R² = 0.9246`` for the stuck-at-1 / integer
 unit data).  The same fit (and a plain linear fit, used in ablation studies)
-is implemented here on top of :mod:`numpy`.
+is implemented here on top of :mod:`numpy`, imported on the first fit: the
+campaign and report paths import this module through :mod:`repro.core` but
+never fit, and numpy alone is about 10 MB of resident memory in every process
+that loads it (campaign pool workers included).
 """
 
 from __future__ import annotations
@@ -13,8 +16,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 
 class RegressionError(ValueError):
     """Raised when a fit cannot be computed (too few or degenerate points)."""
@@ -22,6 +23,8 @@ class RegressionError(ValueError):
 
 def r_squared(observed: Sequence[float], predicted: Sequence[float]) -> float:
     """Coefficient of determination of *predicted* against *observed*."""
+    import numpy as np
+
     observed_arr = np.asarray(list(observed), dtype=float)
     predicted_arr = np.asarray(list(predicted), dtype=float)
     if observed_arr.size != predicted_arr.size or observed_arr.size < 2:
@@ -68,6 +71,8 @@ class LogFit:
 
 def fit_linear(xs: Sequence[float], ys: Sequence[float]) -> LinearFit:
     """Ordinary least-squares linear fit."""
+    import numpy as np
+
     xs_arr = np.asarray(list(xs), dtype=float)
     ys_arr = np.asarray(list(ys), dtype=float)
     if xs_arr.size != ys_arr.size or xs_arr.size < 2:
@@ -81,6 +86,8 @@ def fit_linear(xs: Sequence[float], ys: Sequence[float]) -> LinearFit:
 
 def fit_log(xs: Sequence[float], ys: Sequence[float]) -> LogFit:
     """Least-squares fit of ``y = a * ln(x) + b``."""
+    import numpy as np
+
     xs_arr = np.asarray(list(xs), dtype=float)
     ys_arr = np.asarray(list(ys), dtype=float)
     if xs_arr.size != ys_arr.size or xs_arr.size < 2:

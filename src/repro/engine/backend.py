@@ -34,6 +34,7 @@ from typing import (
     List,
     Optional,
     Protocol,
+    Tuple,
     Union,
     runtime_checkable,
 )
@@ -48,6 +49,8 @@ from repro.leon3.core import Leon3Core, RtlExecutionResult
 from repro.leon3.fastcore import Leon3FastCore
 from repro.rtl.faults import FaultModel, PermanentFault, TransientFault
 from repro.rtl.sites import SiteUniverse
+
+from repro.engine.pruning import ReadSummary
 
 if TYPE_CHECKING:
     from repro.engine.checkpoint import _CheckpointRunnerBase
@@ -198,6 +201,25 @@ class Leon3RtlBackend:
             self.core.inject(fault_list)
         native: RtlExecutionResult = self.core.run(max_instructions=max_instructions)
         self.core.clear_faults()
+        return self._result(native)
+
+    def golden_with_reads(self, max_instructions: int) -> Tuple[RunResult, ReadSummary]:
+        """The golden run plus its storage-array read summary (see
+        :mod:`repro.engine.pruning`), recorded in the same single execution.
+
+        Fast engine only: the reference engine records no summary, so its
+        campaigns never prune (``CampaignEngine`` never asks it for one).
+        """
+        if not self.fast:
+            raise ValueError("only the fast RTL engine records read summaries")
+        if self._program is None:
+            raise RuntimeError("backend not prepared: call prepare(program) first")
+        self.core.clear_faults()
+        self.core.reload()
+        native, reads = self.core.run_recording_reads(max_instructions)
+        return self._result(native), reads
+
+    def _result(self, native: RtlExecutionResult) -> RunResult:
         return RunResult(
             backend=self.name,
             transactions=native.transactions,

@@ -47,6 +47,7 @@ from typing import (
     cast,
 )
 
+from repro.faultinjection.comparison import FailureClass
 from repro.faultinjection.results import CampaignResult, InjectionOutcome
 from repro.isa.assembler import Program
 from repro.leon3.units import IU_SCOPE
@@ -58,11 +59,13 @@ from repro.engine.checkpoint import make_checkpoint_runner
 from repro.engine.jobs import (
     CampaignJob,
     CampaignPlan,
+    InjectionJob,
     OutcomeRecord,
     TransientJob,
     plan_jobs,
     plan_transient_jobs,
 )
+from repro.engine.pruning import ReadSummary, is_dormant
 from repro.engine.schedulers import (
     KNOWN_SCHEDULERS,
     _acquire_golden,
@@ -276,6 +279,10 @@ class CampaignEngine:
         self._artifact_key: Optional[str] = None
         #: This campaign's resolved identity (see :meth:`_identity`).
         self._resolved: Optional[_Identity] = None
+        #: Storage-array read summary of the golden run (see
+        #: :mod:`repro.engine.pruning`): recorded by the fast RTL engine for
+        #: permanent campaigns, ``None`` otherwise — nothing is pruned then.
+        self._reads: Optional[ReadSummary] = None
 
     # -- planner-local backend ---------------------------------------------------------
 
@@ -293,11 +300,13 @@ class CampaignEngine:
         For transient campaigns on a checkpoint-capable backend the golden
         run *is* the ladder recording (bit-identical to a plain run — the
         checkpoint contract), so the campaign pays for one golden execution,
-        not two.  With the golden-artifact cache armed (:meth:`run` on a
-        file-backed store), even that execution is served from the store
-        when an earlier campaign already published the recording — after
-        state-digest verification, so a served golden is bit-identical to a
-        fresh one.
+        not two.  For permanent campaigns on the fast RTL engine the same
+        single execution also records the storage-array read summary that
+        :meth:`run` prunes dormant jobs with.  With the golden-artifact
+        cache armed (:meth:`run` on a file-backed store), even that
+        execution is served from the store when an earlier campaign already
+        published the recording — after state-digest verification, so a
+        served golden is bit-identical to a fresh one.
         """
         if self._golden is None:
             config = self.config
@@ -307,13 +316,14 @@ class CampaignEngine:
                 if runner is not None:
                     self._runner = runner
             with TELEMETRY.span("golden"):
-                golden = _acquire_golden(
+                golden, self._reads = _acquire_golden(
                     self.backend,
                     self.program,
                     config.max_instructions,
                     runner,
                     self._artifact_store_path,
                     self._artifact_key,
+                    reads=self._records_reads(),
                 )
             if not golden.normal_exit:
                 raise RuntimeError(
@@ -322,6 +332,18 @@ class CampaignEngine:
                 )
             self._golden = golden
         return self._golden
+
+    def _records_reads(self) -> bool:
+        """True when the golden run carries a read summary to prune with:
+        permanent campaigns on the fast RTL engine.  The reference engine
+        (``fast=False``) always simulates, even when an artifact it loads
+        carries a summary — it is the oracle pruning is checked against."""
+        backend = self.backend
+        return (
+            not self.config.transient
+            and isinstance(backend, Leon3RtlBackend)
+            and backend.fast
+        )
 
     # -- planning ------------------------------------------------------------------------
 
@@ -685,9 +707,15 @@ class CampaignEngine:
                 commit_buffer.clear()
             push(record)
 
+        # Only activated and net-site jobs reach a scheduler, so a plan whose
+        # jobs are all dormant never starts a pool.
+        pruned, remaining = self._prune_dormant(remaining)
+
         try:
             for record in stored:
                 push(record)
+            for record in pruned:
+                on_outcome(record)
             if remaining:
                 plan = CampaignPlan(
                     program=self.program,
@@ -722,6 +750,39 @@ class CampaignEngine:
         if config.telemetry:
             session.put_manifest(self._build_manifest(span))
         return results
+
+    def _prune_dormant(
+        self, jobs: List[CampaignJob]
+    ) -> Tuple[List[OutcomeRecord], List[CampaignJob]]:
+        """Split *jobs* into the dormant ones, resolved from the golden read
+        summary without simulation (see :mod:`repro.engine.pruning`), and
+        the rest.  A dormant faulty run is the golden run, so its record is
+        exact: ``NO_EFFECT``, no detection cycle, the golden instruction
+        count.  Without a summary nothing is pruned."""
+        reads = self._reads
+        if not jobs or reads is None:
+            return [], jobs
+        instructions = self.golden_run().instructions
+        pruned: List[OutcomeRecord] = []
+        rest: List[CampaignJob] = []
+        for job in jobs:
+            if isinstance(job, InjectionJob) and is_dormant(reads, job.fault):
+                pruned.append(OutcomeRecord(
+                    job=job,
+                    failure_class=FailureClass.NO_EFFECT,
+                    detection_cycle=None,
+                    faulty_instructions=instructions,
+                ))
+            else:
+                rest.append(job)
+        TELEMETRY.inc("campaign.jobs_pruned", len(pruned))
+        if pruned:
+            TELEMETRY.inc(
+                "engine.outcomes",
+                len(pruned),
+                labels={"class": FailureClass.NO_EFFECT.value},
+            )
+        return pruned, rest
 
     def _build_manifest(self, span: Span) -> Dict[str, Any]:
         """This run's manifest: merged metrics + environment + wall clock.

@@ -45,9 +45,15 @@ from typing import (
 
 from repro.faultinjection.comparison import compare_runs
 
-from repro.engine.backend import ExecutionBackend, RunResult, watchdog_budget
+from repro.engine.backend import (
+    ExecutionBackend,
+    Leon3RtlBackend,
+    RunResult,
+    watchdog_budget,
+)
 from repro.engine.checkpoint import make_checkpoint_runner
 from repro.engine.jobs import CampaignJob, CampaignPlan, OutcomeRecord, TransientJob
+from repro.engine.pruning import ReadSummary
 from repro.obs.events import EventLog
 from repro.obs.telemetry import TELEMETRY
 
@@ -154,31 +160,45 @@ def _acquire_golden(
     runner: Optional["_CheckpointRunnerBase"],
     artifact_store_path: Optional[str],
     artifact_key: Optional[str],
-) -> RunResult:
-    """Obtain this worker's golden reference, through the artifact cache
+    reads: bool = False,
+) -> Tuple[RunResult, Optional[ReadSummary]]:
+    """Obtain this process's golden reference, through the artifact cache
     when the plan carries its coordinates.
 
     On a hit the serialized recording is loaded (and, for ladders,
     digest-verified against the live engine by ``from_artifact``) instead of
-    re-executed; on a miss the worker records as before and publishes the
+    re-executed; on a miss the process records as before and publishes the
     recording idempotently, so whichever process gets there first fills the
     cache for every later worker, shard, and repeated campaign.  A blob that
     fails verification falls back to recording (the cache never serves
     doubtful state).  Plain (non-checkpoint) golden runs whose trace is
     detailed are not cacheable and fall through untouched.
+
+    With *reads* (the planner of a permanent campaign on the fast RTL
+    engine) the golden also comes with its storage-array read summary — from
+    the artifact, or recorded in the same execution on a miss (and then
+    published with it).  The second element is ``None`` otherwise, and for
+    an artifact written without a summary.
     """
-    if artifact_store_path is None or artifact_key is None:
+
+    def record() -> Tuple[RunResult, Optional[ReadSummary]]:
         if runner is not None:
-            # The ladder recording *is* the worker's golden run (the recorded
-            # result is bit-identical to a plain run — the checkpoint contract).
-            return runner.golden()
-        return backend.run(max_instructions=max_instructions)
+            # The ladder recording *is* the golden run (the recorded result
+            # is bit-identical to a plain run — the checkpoint contract).
+            return runner.golden(), None
+        if reads and isinstance(backend, Leon3RtlBackend):
+            return backend.golden_with_reads(max_instructions)
+        return backend.run(max_instructions=max_instructions), None
+
+    if artifact_store_path is None or artifact_key is None:
+        return record()
     from repro.store import CampaignStore
     from repro.store.artifacts import (
         ArtifactError,
         golden_to_payload,
         pack_artifact,
         payload_to_golden,
+        payload_to_reads,
         unpack_artifact,
     )
 
@@ -187,33 +207,35 @@ def _acquire_golden(
         if blob is not None:
             try:
                 payload = unpack_artifact(blob)
+                summary: Optional[ReadSummary] = None
                 if runner is not None:
                     runner.from_artifact(payload)
                     golden = runner.golden()
                 else:
                     golden = payload_to_golden(payload)
+                    if reads:
+                        summary = payload_to_reads(payload)
             except ArtifactError:
                 blob = None  # unusable recording: fall through and re-record
             else:
                 TELEMETRY.inc("golden.cache.hit")
-                return golden
+                return golden, summary
         TELEMETRY.inc("golden.cache.miss")
+        golden, summary = record()
         if runner is not None:
-            golden = runner.golden()
             store.artifact_put(
                 artifact_key, "ladder", program.name, backend.name,
                 pack_artifact(runner.to_artifact()),
             )
-            return golden
-        golden = backend.run(max_instructions=max_instructions)
+            return golden, None
         try:
-            packed = pack_artifact(golden_to_payload(golden))
+            packed = pack_artifact(golden_to_payload(golden, summary))
         except ArtifactError:
-            return golden  # detailed traces cannot be cached
+            return golden, summary  # detailed traces cannot be cached
         store.artifact_put(
             artifact_key, "golden", program.name, backend.name, packed
         )
-        return golden
+        return golden, summary
 
 
 def _init_worker(
@@ -241,7 +263,7 @@ def _init_worker(
     if transient:
         runner = make_checkpoint_runner(backend, max_instructions)
     with TELEMETRY.span("golden"):
-        golden = _acquire_golden(
+        golden, _ = _acquire_golden(
             backend, program, max_instructions, runner,
             artifact_store_path, artifact_key,
         )

@@ -60,15 +60,25 @@ class Memory:
 
     # -- aligned accessors -------------------------------------------------------
 
+    # An aligned word never straddles a page, so the word accessors work on
+    # one page slice.
+
     def read_word(self, address: int) -> int:
         if address % 4:
             raise MemoryError_(f"misaligned word read at {address:#010x}")
-        return int.from_bytes(self.read_bytes(address, 4), "big")
+        address &= ADDRESS_MASK
+        page = self._pages.get(address >> PAGE_SHIFT)
+        if page is None:
+            # Reads of untouched memory return zero without allocating a page.
+            return 0
+        offset = address & PAGE_MASK
+        return int.from_bytes(page[offset : offset + 4], "big")
 
     def write_word(self, address: int, value: int) -> None:
         if address % 4:
             raise MemoryError_(f"misaligned word write at {address:#010x}")
-        self.write_bytes(address, (value & 0xFFFFFFFF).to_bytes(4, "big"))
+        page, offset = self._page(address)
+        page[offset : offset + 4] = (value & 0xFFFFFFFF).to_bytes(4, "big")
 
     def read_half(self, address: int) -> int:
         if address % 2:

@@ -66,7 +66,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import weakref
-from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple, Union
 
 from repro.isa.ccodes import (
     ConditionCodes,
@@ -134,6 +134,40 @@ class _ArrayFaultState:
                     value = fault.apply(value, self.last_read) & mask
         self.last_read = value
         return value
+
+
+class _ArrayReadRecorder:
+    """Golden read summary of one storage array (see
+    :meth:`Leon3FastCore.run_recording_reads`).
+
+    Bound through the same slots as :class:`_ArrayFaultState`, so it sees
+    exactly the reads a faulted run's hook would see, in the same order.
+    Per cell it keeps three bit masks: bits ever read as 1, bits ever read
+    as 0, and bits that ever differed from the array's previous read (the
+    open-line model's "previous value" is per array, not per cell).
+    """
+
+    __slots__ = ("mask", "ones", "zeros", "flips", "last_read")
+
+    def __init__(self, width: int, cells: int):
+        self.mask = (1 << width) - 1
+        self.ones = [0] * cells
+        # Accumulates ~value (negative ints); masked to the width in masks().
+        self.zeros = [0] * cells
+        self.flips = [0] * cells
+        self.last_read = 0
+
+    def read(self, index: int, value: int) -> int:
+        self.ones[index] |= value
+        self.zeros[index] |= ~value
+        self.flips[index] |= value ^ self.last_read
+        self.last_read = value
+        return value
+
+    def masks(self) -> Tuple[List[int], List[int], List[int]]:
+        """``(ones, zeros, flips)`` per cell, each masked to the array width."""
+        mask = self.mask
+        return self.ones, [z & mask for z in self.zeros], self.flips
 
 
 class _NetFaultState:
@@ -228,8 +262,8 @@ class _FastCache:
         data = self.data
         core = self.core
         for word in range(self.words_per_line):
-            # A refill read past the mapped image raises MemoryError_ exactly
-            # like the reference, with the same partially-written line.
+            # Refill addresses are word-aligned, so read_word never raises
+            # here; unmapped words read as 0, as on the reference.
             data[base + word] = memory.read_word(line_base + word * 4)
             core.bus_reads += 1
         self.tags[index] = tag
@@ -1118,6 +1152,13 @@ _UNOBSERVED_NETS = frozenset({"iu.fe.npc", "iu.xc.trap", "alu.adder.cout"})
 #: backends inject (reset-then-inject is the canonical run order).
 _RESET_LATCHES = {"rf.waddr": 14, "rf.wdata": DEFAULT_STACK_TOP}
 
+#: Every storage array (the sites array hooks bind to), as netlist names.
+STORAGE_ARRAYS = (
+    "rf.cells",
+    "icache.tags", "icache.data", "icache.valid",
+    "dcache.tags", "dcache.data", "dcache.valid",
+)
+
 _RA_NETS = frozenset({"rf.raddr1", "rf.rdata1", "iu.ra.op1", "iu.ra.op2"})
 _PORT2_NETS = frozenset({"rf.raddr2", "rf.rdata2"})
 _WB_NETS = frozenset({"iu.wb.result", "iu.wb.rd", "rf.waddr", "rf.wdata"})
@@ -1329,7 +1370,35 @@ class Leon3FastCore:
         for name, tap in self._nets.items():
             tap.latch = self._reset_latch(name)
 
-    def _bind_array_state(self, name: str, state: _ArrayFaultState) -> None:
+    def run_recording_reads(
+        self, max_instructions: int
+    ) -> Tuple[RtlExecutionResult, Dict[str, Tuple[List[int], List[int], List[int]]]]:
+        """Run fault-free with a :class:`_ArrayReadRecorder` bound to every
+        storage array; returns the result and, per array, the per-cell
+        ``(ones, zeros, flips)`` read masks.
+
+        The recorders pass every value through unchanged, so the result is
+        the plain golden run's.  Like :meth:`run`, it continues from the
+        current state: reset (or reload) first.  The recorders are unbound
+        on return.
+        """
+        if self._array_states or self._nets:
+            raise ValueError("recording golden reads requires a fault-free core")
+        netlist = self._ref.netlist
+        recorders: Dict[str, _ArrayReadRecorder] = {}
+        for name in STORAGE_ARRAYS:
+            array = netlist.array(name)
+            recorders[name] = _ArrayReadRecorder(array.width, array.cells)
+            self._bind_array_state(name, recorders[name])
+        try:
+            result = self.run(max_instructions=max_instructions)
+        finally:
+            self.clear_faults()
+        return result, {name: rec.masks() for name, rec in recorders.items()}
+
+    def _bind_array_state(
+        self, name: str, state: Union[_ArrayFaultState, _ArrayReadRecorder]
+    ) -> None:
         if name == "rf.cells":
             self._rf_fault = state
             return

@@ -6,7 +6,11 @@ campaign shapes:
 
 * ``"golden"`` — a serialized golden :class:`~repro.engine.backend.RunResult`
   (permanent campaigns, where workers otherwise re-run the workload from
-  reset once per process just to obtain the comparison reference).
+  reset once per process just to obtain the comparison reference).  A fast
+  RTL engine's recording also carries an additive ``"reads"`` field: the
+  storage-array read summary the planner prunes dormant faults with
+  (:mod:`repro.engine.pruning`).  Payloads without it still load; their
+  campaigns simply simulate every job.
 * ``"ladder"`` — a full :class:`~repro.engine.checkpoint.CheckpointLadder`
   recording (transient campaigns): every rung's restore payload, state
   digest, cumulative per-mnemonic counts and transaction-prefix length, plus
@@ -44,7 +48,7 @@ from __future__ import annotations
 import base64
 import json
 import zlib
-from typing import Any, Dict
+from typing import Any, Dict, Optional
 
 from repro.engine.backend import RunResult
 from repro.engine.checkpoint import (
@@ -52,6 +56,7 @@ from repro.engine.checkpoint import (
     CheckpointLadder,
     trace_from_counts,
 )
+from repro.engine.pruning import ReadSummary
 from repro.iss.trace import OffCoreTransaction
 from repro.store.schema import StoreError
 
@@ -71,6 +76,7 @@ __all__ = [
     "decode_value",
     "golden_to_payload",
     "payload_to_golden",
+    "payload_to_reads",
     "ladder_to_payload",
     "payload_to_ladder",
     "pack_artifact",
@@ -152,23 +158,47 @@ def decode_value(value: Any) -> Any:
 # -- RunResult --------------------------------------------------------------------
 
 
-def golden_to_payload(result: RunResult) -> Dict[str, Any]:
-    """Serialize a golden :class:`RunResult` (artifact kind ``"golden"``).
+def golden_to_payload(
+    result: RunResult, reads: Optional[ReadSummary] = None
+) -> Dict[str, Any]:
+    """Serialize a golden :class:`RunResult` (artifact kind ``"golden"``),
+    with the run's storage-array read summary when one was recorded.
 
     Refuses detailed traces: their per-instruction records cannot be rebuilt
     from counts, so such runs are simply not cacheable.
     """
-    return {
+    payload: Dict[str, Any] = {
         "artifact_version": ARTIFACT_VERSION,
         "kind": "golden",
         "golden": _result_to_payload(result),
     }
+    if reads is not None:
+        payload["reads"] = {name: [list(mask) for mask in masks]
+                            for name, masks in reads.items()}
+    return payload
 
 
 def payload_to_golden(payload: Dict[str, Any]) -> RunResult:
     """Deserialize an artifact of kind ``"golden"``."""
     _check_version(payload, "golden")
     return _payload_to_result(payload["golden"])
+
+
+def payload_to_reads(payload: Dict[str, Any]) -> Optional[ReadSummary]:
+    """The read summary of a ``"golden"`` artifact; ``None`` when it carries
+    none (written without one, or malformed) — its campaigns then simulate
+    every job."""
+    reads = payload.get("reads")
+    if not isinstance(reads, dict):
+        return None
+    for masks in reads.values():
+        if not (
+            isinstance(masks, list)
+            and len(masks) == 3
+            and all(isinstance(mask, list) for mask in masks)
+        ):
+            return None
+    return reads
 
 
 def _result_to_payload(result: RunResult) -> Dict[str, Any]:

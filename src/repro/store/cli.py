@@ -244,7 +244,10 @@ def _run_engine(store: CampaignStore, engine: CampaignEngine, quiet: bool) -> in
     info = store.campaign_info(engine.store_key())
     print(f"campaign {info.key[:12]} ({info.workload}, {info.unit_scope}, "
           f"{info.backend}, seed {info.seed})")
-    print(f"  executed {executed} injections, served {cached} from the store")
+    pruned = TELEMETRY.snapshot()["counters"].get("campaign.jobs_pruned", 0)
+    dormant = f" ({pruned} dormant, not simulated)" if pruned else ""
+    print(f"  executed {executed} injections{dormant}, served {cached} "
+          f"from the store")
     if config.shards > 1:
         print(f"  shard {config.shard_index} of {config.shards} "
               f"({info.done_jobs}/{info.total_jobs} outcomes in this store); "
@@ -517,6 +520,14 @@ def _metrics_summary(metrics: Dict[str, Any]) -> List[str]:
         lines.append(
             f"  cache-hit ratio: {ratio:.1%} ({hits} memoized / "
             f"{hits + misses} planned)"
+        )
+
+    if "campaign.jobs_pruned" in counters:
+        pruned = counters["campaign.jobs_pruned"]
+        executed = counters.get("campaign.jobs_executed", 0)
+        lines.append(
+            f"  pruned: {pruned} of {executed} executed jobs resolved as "
+            f"dormant from the golden read summary (not simulated)"
         )
 
     golden_hits = counters.get("golden.cache.hit", 0)

@@ -125,7 +125,8 @@ class TestBackends:
 
 
 class _CountingRtlBackend(Leon3RtlBackend):
-    """RTL backend that counts its fault-free (golden) runs."""
+    """RTL backend that counts its fault-free (golden) runs, including the
+    one that records the read summary permanent campaigns prune with."""
 
     golden_runs = 0
 
@@ -134,6 +135,10 @@ class _CountingRtlBackend(Leon3RtlBackend):
         if not faults:
             type(self).golden_runs += 1
         return super().run(max_instructions=max_instructions, faults=faults)
+
+    def golden_with_reads(self, max_instructions):
+        type(self).golden_runs += 1
+        return super().golden_with_reads(max_instructions)
 
 
 class TestPlanning:

@@ -86,6 +86,28 @@ class TestWordAccess:
         memory.write_word(0, 0x1_FFFF_FFFF)
         assert memory.read_word(0) == 0xFFFFFFFF
 
+    def test_unmapped_word_read_allocates_no_page(self):
+        # The dirty-page digest and checkpoint capture rely on reads never
+        # materialising pages.
+        memory = Memory()
+        assert memory.read_word(0x40001FFC) == 0
+        assert memory.read_double(0x80000000) == (0, 0)
+        assert memory.allocated_pages() == ()
+
+    def test_word_write_allocates_its_page(self):
+        memory = Memory()
+        memory.write_word(0x40000FFC, 0x01020304)
+        assert memory.allocated_pages() == (0x40000,)
+        assert memory.read_bytes(0x40000FFC, 4) == b"\x01\x02\x03\x04"
+        assert memory.read_word(0x40001000) == 0
+        assert memory.allocated_pages() == (0x40000,)
+
+    def test_word_addresses_wrap_to_32_bits(self):
+        memory = Memory()
+        memory.write_word(0x1_0000_0010, 0xDEADBEEF)
+        assert memory.read_word(0x10) == 0xDEADBEEF
+        assert memory.read_word(0x1_0000_0010) == 0xDEADBEEF
+
 
 class TestProgramLoading:
     def test_load_program_places_text_and_data(self):

@@ -177,6 +177,28 @@ class TestSchedulerTransparency:
             series.startswith("checkpoint.") for series in serial["counters"]
         )
 
+    def test_permanent_campaign_snapshots_are_equal(self):
+        """Pruning happens in the planner, before either scheduler sees the
+        plan, so pruned jobs account identically on both; every executed
+        job — pruned or simulated — is one classified outcome."""
+        program = build_program("intbench", iterations=1)
+        snapshots = []
+        for overrides in ({}, {"n_workers": 2, "scheduler": "process"}):
+            config = CampaignConfig(
+                unit_scope="iu", sample_size=6, seed=5, **overrides
+            )
+            CampaignEngine(program, config).run()
+            snapshots.append(TELEMETRY.snapshot())
+        serial, process = snapshots
+        assert _without_timings(serial) == _without_timings(process)
+        counters = serial["counters"]
+        outcomes = sum(
+            value for series, value in counters.items()
+            if split_series_name(series)[0] == "engine.outcomes"
+        )
+        assert outcomes == counters["campaign.jobs_executed"] == 18
+        assert 0 < counters["campaign.jobs_pruned"] < 18
+
     def test_campaign_run_with_telemetry_off_records_nothing(self):
         snapshot = _snapshot_of({"telemetry": False})
         assert snapshot == {"counters": {}, "gauges": {}, "histograms": {}}

@@ -170,7 +170,8 @@ class TestStoreRoundTrip:
 
 def _count_golden_executions(monkeypatch):
     """Count every fault-free execution from here on: plain golden runs of
-    either backend and checkpoint-ladder recordings."""
+    either backend, read-summary recordings of the fast RTL engine and
+    checkpoint-ladder recordings."""
     executions = []
     for backend in (Leon3RtlBackend, IssBackend):
 
@@ -181,6 +182,14 @@ def _count_golden_executions(monkeypatch):
             return _run(self, max_instructions=max_instructions, faults=faults)
 
         monkeypatch.setattr(backend, "run", run)
+
+    def golden_with_reads(
+        self, max_instructions, _record=Leon3RtlBackend.golden_with_reads
+    ):
+        executions.append("reads")
+        return _record(self, max_instructions)
+
+    monkeypatch.setattr(Leon3RtlBackend, "golden_with_reads", golden_with_reads)
     for runner in (IssCheckpointRunner, RtlCheckpointRunner):
 
         def record(self, _record=runner._record_ladder):
