@@ -29,9 +29,10 @@ from repro.engine import CampaignConfig, CampaignEngine, Leon3RtlBackend
 from repro.engine.backend import watchdog_budget
 from repro.engine.checkpoint import assert_run_results_identical
 from repro.engine.pruning import is_dormant
-from repro.leon3.fastcore import STORAGE_ARRAYS
+from repro.leon3.fastcore import STORAGE_ARRAYS, _ArrayReadRecorder
 from repro.obs.telemetry import TELEMETRY, split_series_name
-from repro.rtl.faults import ALL_FAULT_MODELS, PermanentFault
+from repro.rtl.faults import ALL_FAULT_MODELS, FaultModel, PermanentFault
+from repro.rtl.sites import FaultSite
 from repro.store import CampaignStore, report_payload
 from repro.store.artifacts import golden_to_payload, pack_artifact
 from repro.store.cli import main as cli_main
@@ -186,6 +187,27 @@ def test_dormant_faults_leave_the_reference_run_golden(data):
     assume(is_dormant(reads, fault))
     faulty = reference.run(watchdog_budget(golden.instructions), faults=[fault])
     assert_run_results_identical(golden, faulty)
+
+
+def test_open_line_latch_is_per_array():
+    """Cell 0 always reads 1, but the read before it (cell 1) read 0: an
+    open line on cell 0 retains that 0, so it is activated even though a
+    stuck-at-1 there is dormant."""
+    recorder = _ArrayReadRecorder(width=1, cells=2)
+    for cell, value in ((0, 1), (1, 0), (0, 1)):
+        assert recorder.read(cell, value) == value
+    reads = {"dcache.valid": recorder.masks()}
+    assert reads["dcache.valid"] == ([1, 0], [0, 1], [1, 1])
+
+    def dormant(cell, model):
+        site = FaultSite(net="dcache.valid", bit=0, unit="cmem.dcache", index=cell)
+        return is_dormant(reads, PermanentFault(site, model))
+
+    assert dormant(0, FaultModel.STUCK_AT_1)
+    assert not dormant(0, FaultModel.STUCK_AT_0)
+    assert not dormant(0, FaultModel.OPEN_LINE)
+    assert dormant(1, FaultModel.STUCK_AT_0)
+    assert not dormant(1, FaultModel.OPEN_LINE)
 
 
 def test_summary_covers_every_array_cell():
